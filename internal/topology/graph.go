@@ -147,9 +147,109 @@ func removeSorted(s []NodeID, v NodeID) []NodeID {
 	return s
 }
 
+// cellGrid counting-sorts positions into square cells of side ≥ r,
+// measured from the positions' min corner, so every node within r of a
+// position lies in the 3×3 cell neighborhood of that position's cell. Each
+// cell's node list is ascending. Its buffers are reused across bucket
+// calls, so a caller that buckets many layouts allocates only when a
+// layout needs more cells than any before it.
+type cellGrid struct {
+	minX, minY, cs float64
+	cols, rows     int
+	start          []int32 // cell c holds nodes[start[c]:start[c+1]]
+	nodes          []int32
+	cellOf         []int32
+}
+
+// bucket sorts pos into the grid for radius r. pos must be non-empty.
+func (gr *cellGrid) bucket(pos []Position, r float64) {
+	n := len(pos)
+	minX, minY, maxX, maxY := pos[0].X, pos[0].Y, pos[0].X, pos[0].Y
+	for _, p := range pos[1:] {
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
+	}
+	w, h := maxX-minX, maxY-minY
+	// Cell side ≥ r keeps the 3×3 neighborhood sufficient; the floor keeps
+	// the cell count O(N) even when r is tiny relative to the area.
+	cs := r
+	if cells := (w/cs + 1) * (h/cs + 1); cells > float64(4*n+64) {
+		cs = math.Sqrt((w + 1) * (h + 1) / float64(4*n+64))
+		if cs < r {
+			cs = r
+		}
+	}
+	gr.minX, gr.minY, gr.cs = minX, minY, cs
+	gr.cols, gr.rows = int(w/cs)+1, int(h/cs)+1
+	ncells := gr.cols * gr.rows
+	gr.start = resizeInt32(gr.start, ncells+1)
+	clear(gr.start)
+	gr.cellOf = resizeInt32(gr.cellOf, n)
+	for i, p := range pos {
+		x, y := gr.cellXY(p)
+		c := int32(y*gr.cols + x)
+		gr.cellOf[i] = c
+		gr.start[c+1]++
+	}
+	for c := 1; c <= ncells; c++ {
+		gr.start[c] += gr.start[c-1]
+	}
+	// Fill with start[c] as cell c's cursor (ascending i keeps each list
+	// sorted); the cursors end one cell ahead, so shift them back.
+	gr.nodes = resizeInt32(gr.nodes, n)
+	for i, c := range gr.cellOf {
+		gr.nodes[gr.start[c]] = int32(i)
+		gr.start[c]++
+	}
+	copy(gr.start[1:], gr.start[:ncells])
+	gr.start[0] = 0
+}
+
+// cellXY returns the column and row of the cell holding p.
+func (gr *cellGrid) cellXY(p Position) (x, y int) {
+	return int((p.X - gr.minX) / gr.cs), int((p.Y - gr.minY) / gr.cs)
+}
+
+// cell returns the nodes of the cell at column x, row y, or nil outside
+// the grid.
+func (gr *cellGrid) cell(x, y int) []int32 {
+	if x < 0 || x >= gr.cols || y < 0 || y >= gr.rows {
+		return nil
+	}
+	c := y*gr.cols + x
+	return gr.nodes[gr.start[c]:gr.start[c+1]]
+}
+
+// hasNeighbor reports whether some node other than a lies within r of
+// it, by the same Dist(...) <= r test ConnectUnitDisk uses: it is false
+// exactly when ConnectUnitDisk(r) would leave a with no edges. pos must
+// be the layout last bucketed with r.
+func (gr *cellGrid) hasNeighbor(pos []Position, a int, r float64) bool {
+	pa := pos[a]
+	cx, cy := gr.cellXY(pa)
+	for y := cy - 1; y <= cy+1; y++ {
+		for x := cx - 1; x <= cx+1; x++ {
+			for _, b := range gr.cell(x, y) {
+				if int(b) != a && pa.Dist(pos[b]) <= r {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+func resizeInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
 // ConnectUnitDisk adds an edge between every pair of nodes within radio
 // range r of each other. Nodes are counting-sorted into grid cells of
-// side ≥ r so each node only examines its 3×3 cell neighborhood —
+// side ≥ r (cellGrid, measured from the layout's min corner, so any
+// coordinates work) so each node only examines its 3×3 cell neighborhood —
 // O(N + edges) for bounded densities instead of the all-pairs O(N²),
 // which is what makes 100k-node placement tractable. The adjacency is
 // built CSR-style in two passes (count degrees, then fill one shared
@@ -165,60 +265,16 @@ func (g *Graph) ConnectUnitDisk(r float64) {
 	if n < 2 || r <= 0 {
 		return
 	}
-	var w, h float64
-	for _, p := range g.pos {
-		if p.X > w {
-			w = p.X
-		}
-		if p.Y > h {
-			h = p.Y
-		}
-	}
-	// Cell side ≥ r keeps the 3×3 neighborhood sufficient; the floor keeps
-	// the cell count O(N) even when r is tiny relative to the area.
-	cs := r
-	if cells := (w/cs + 1) * (h/cs + 1); cells > float64(4*n+64) {
-		cs = math.Sqrt((w + 1) * (h + 1) / float64(4*n+64))
-		if cs < r {
-			cs = r
-		}
-	}
-	cols := int(w/cs) + 1
-	rows := int(h/cs) + 1
-	cellOf := make([]int32, n)
-	cellStart := make([]int32, cols*rows+1)
-	for i := 0; i < n; i++ {
-		c := int32(int(g.pos[i].Y/cs)*cols + int(g.pos[i].X/cs))
-		cellOf[i] = c
-		cellStart[c+1]++
-	}
-	for c := 1; c <= cols*rows; c++ {
-		cellStart[c] += cellStart[c-1]
-	}
-	cellNodes := make([]int32, n)
-	cursor := make([]int32, cols*rows)
-	for i := 0; i < n; i++ { // ascending i keeps each cell's list sorted
-		c := cellOf[i]
-		cellNodes[cellStart[c]+cursor[c]] = int32(i)
-		cursor[c]++
-	}
+	var gr cellGrid
+	gr.bucket(g.pos, r)
 	// forEachPair visits every in-range pair (a, b) with a < b once.
 	forEachPair := func(visit func(a, b int32)) {
 		for a := 0; a < n; a++ {
 			pa := g.pos[a]
-			cx, cy := int(pa.X/cs), int(pa.Y/cs)
-			for dy := -1; dy <= 1; dy++ {
-				y := cy + dy
-				if y < 0 || y >= rows {
-					continue
-				}
-				for dx := -1; dx <= 1; dx++ {
-					x := cx + dx
-					if x < 0 || x >= cols {
-						continue
-					}
-					c := y*cols + x
-					for _, b := range cellNodes[cellStart[c]:cellStart[c+1]] {
+			cx, cy := gr.cellXY(pa)
+			for y := cy - 1; y <= cy+1; y++ {
+				for x := cx - 1; x <= cx+1; x++ {
+					for _, b := range gr.cell(x, y) {
 						if int(b) > a && pa.Dist(g.pos[b]) <= r {
 							visit(int32(a), b)
 						}
@@ -227,15 +283,8 @@ func (g *Graph) ConnectUnitDisk(r float64) {
 			}
 		}
 	}
-	deg := cursor // same length ≥ n is not guaranteed; reuse only if big enough
-	if len(deg) < n {
-		deg = make([]int32, n)
-	} else {
-		deg = deg[:n]
-		for i := range deg {
-			deg[i] = 0
-		}
-	}
+	deg := gr.cellOf // bucketing is done with it: reuse as degree counts
+	clear(deg)
 	forEachPair(func(a, b int32) {
 		deg[a]++
 		deg[b]++

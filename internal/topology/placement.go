@@ -31,6 +31,12 @@ func DefaultPlacement() PlacementConfig {
 // disconnected it re-draws positions; after MaxAttempts it grows the radio
 // range by 10% and keeps trying, so it always terminates with a connected
 // multihop graph.
+//
+// Most rejected draws are rejected cheaply: the positions are bucketed
+// into the grid ConnectUnitDisk uses and scanned for a node with no
+// neighbour in range, which proves the draw disconnected without building
+// its graph. Only a draw with no isolated node pays for the full build and
+// connectivity check, so the result is the same as building every draw.
 func PlaceRandom(cfg PlacementConfig, rng *sim.RNG) (*Graph, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("topology: need at least 1 node, got %d", cfg.N)
@@ -44,12 +50,16 @@ func PlaceRandom(cfg PlacementConfig, rng *sim.RNG) (*Graph, error) {
 		attempts = 50
 	}
 	r := cfg.RadioRange
+	pos := make([]Position, cfg.N)               // NewGraph copies, so draws can share it
+	pos[Root] = Position{X: cfg.Width / 2, Y: 0} // sink at the field edge
+	var grid cellGrid
 	for {
 		for try := 0; try < attempts; try++ {
-			pos := make([]Position, cfg.N)
-			pos[Root] = Position{X: cfg.Width / 2, Y: 0} // sink at the field edge
 			for i := 1; i < cfg.N; i++ {
 				pos[i] = Position{X: rng.Range(0, cfg.Width), Y: rng.Range(0, cfg.Height)}
+			}
+			if hasIsolated(&grid, pos, r) {
+				continue
 			}
 			g := NewGraph(pos)
 			g.ConnectUnitDisk(r)
@@ -59,6 +69,22 @@ func PlaceRandom(cfg PlacementConfig, rng *sim.RNG) (*Graph, error) {
 		}
 		r *= 1.1
 	}
+}
+
+// hasIsolated buckets pos into grid and reports whether some node has no
+// other node within r, stopping at the first one. With two or more nodes
+// such a node proves the unit-disk graph disconnected.
+func hasIsolated(grid *cellGrid, pos []Position, r float64) bool {
+	if len(pos) < 2 {
+		return false
+	}
+	grid.bucket(pos, r)
+	for a := range pos {
+		if !grid.hasNeighbor(pos, a, r) {
+			return true
+		}
+	}
+	return false
 }
 
 // PlaceGrid lays out n*n nodes on a regular grid with the given spacing and
