@@ -10,8 +10,8 @@ import (
 // hotState is the protocol-owned struct-of-arrays view of everything the
 // per-epoch hot loop needs: per-node participation and gate-capability
 // flags, the per-(type, node) own-tuple windows the quiescence sweep tests
-// readings against, and the epoch-stamped active-node worklist that
-// replaces the classic sweep over all N nodes.
+// readings against, and the active-node worklist that replaces the classic
+// sweep over all N nodes.
 //
 // The windows double as the loop's control flow, via two sentinels:
 //
@@ -35,20 +35,18 @@ type hotState struct {
 	// cross-layer death notification.
 	deployed []bool
 
-	// lo/hi[t][i] are the per-type windows fed to Generator.ActiveSweep.
+	// lo/hi[t][i] are the per-type windows fed to
+	// Generator.ActiveSweepRange.
 	lo, hi [sensordata.NumTypes][]float64
 
 	// tickList: gated nodes whose controller still needs OnEpoch every
 	// epoch (e.g. the static-index freeze clock).
 	tickList []int32
 
-	// Worklist scratch: nodes active this epoch (ascending), the stamp that
-	// dedups them across per-type sweeps, and the per-node mask of active
-	// types.
+	// Worklist: nodes active this epoch (ascending) and, for those nodes,
+	// the mask of active types. Both are written by the sweep.
 	active   []int32
-	stamp    []int64
 	mask     []uint8
-	scratch  []int32
 	disabled bool // DisableGating: every mounted pair stays always-active
 }
 
@@ -60,10 +58,8 @@ func (h *hotState) init(n int, disabled bool) {
 		h.lo[t] = make([]float64, n)
 		h.hi[t] = make([]float64, n)
 	}
-	h.stamp = make([]int64, n)
 	h.mask = make([]uint8, n)
 	h.active = make([]int32, 0, n)
-	h.scratch = make([]int32, 0, n)
 }
 
 var (

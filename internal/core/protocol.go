@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/lmac"
@@ -321,15 +320,15 @@ func (p *Protocol) Start() {
 // time unit", §7) and, on hour boundaries, the root emits its estimate.
 // The data generator must have been advanced (or be at) the current epoch.
 //
-// The loop is activity-gated: a conservative per-type sweep (see
-// sensordata.ActiveSweep) builds the epoch's worklist of nodes whose
-// readings could possibly escape their hysteresis window; everyone else is
-// provably unobservable this epoch — no field evaluation, no hysteresis
-// check, no update decision — so per-epoch cost tracks activity rather
-// than network size. Nodes whose controller consumes real volatility (the
-// ATC), runs under a sample gate, or has no own tuple yet ride permanent
-// always-active windows and take the exact classic path, which keeps every
-// mode's outputs byte-identical to the ungated loop.
+// The loop is activity-gated: a conservative sweep (see
+// sensordata.Generator.ActiveSweepRange) builds the epoch's worklist of
+// nodes whose readings could possibly escape their hysteresis window;
+// everyone else is provably unobservable this epoch — no field evaluation,
+// no hysteresis check, no update decision — so per-epoch cost tracks
+// activity rather than network size. Nodes whose controller consumes real
+// volatility (the ATC), runs under a sample gate, or has no own tuple yet
+// ride permanent always-active windows and take the exact classic path,
+// which keeps every mode's outputs byte-identical to the ungated loop.
 func (p *Protocol) RunEpoch() {
 	now := p.engine.Now()
 	if now > 0 {
@@ -342,9 +341,7 @@ func (p *Protocol) RunEpoch() {
 		// worklist bookkeeping at all, so -naive timing comparisons measure
 		// the true pre-gating loop.
 		p.runEpochNaive()
-		if p.cfg.EpochsPerHour > 0 && now%sim.Time(p.cfg.EpochsPerHour) == 0 && now > 0 {
-			p.emitEstimate()
-		}
+		p.emitEstimateIfDue(now)
 		return
 	}
 	if p.sharded {
@@ -352,59 +349,62 @@ func (p *Protocol) RunEpoch() {
 		return
 	}
 
-	// Build the worklist, node-major ascending so processing order — and
-	// with it trace order and each node's MAC queue content — matches the
-	// classic full sweep exactly.
-	gen := int64(now) + 1
-	active := h.active[:0]
-	for _, t := range sensordata.AllTypes() {
-		h.scratch = p.gen.ActiveSweep(t, h.lo[t], h.hi[t], h.scratch[:0])
-		for _, i := range h.scratch {
-			if h.stamp[i] != gen {
-				h.stamp[i] = gen
-				h.mask[i] = 0
-				active = append(active, i)
-			}
-			h.mask[i] |= 1 << uint(t)
-		}
+	// The worklist is ascending, so processing order — and with it trace
+	// order and each node's MAC queue content — matches the classic full
+	// sweep exactly.
+	h.active = p.gen.ActiveSweepRange(&h.lo, &h.hi, h.mask, 0, len(p.nodes), h.active[:0])
+	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(h.active)))
+	p.cfg.Telemetry.ActiveNodes.Add(int64(len(h.active)))
+	for _, ai := range h.active {
+		p.applyActive(int(ai))
 	}
-	h.active = active
-	slices.Sort(active)
-	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(active)))
-	p.cfg.Telemetry.ActiveNodes.Add(int64(len(active)))
+	p.tickAndEstimate(now)
+}
 
-	for _, ai := range active {
-		i := int(ai)
-		id := topology.NodeID(i)
-		if !p.channel.Alive(id) || !h.deployed[i] {
+// applyActive is one worklist node's epoch step, shared by the serial and
+// sharded loops: a gated node reads and re-arms only the types the sweep
+// flagged, an ungated node takes the classic per-node step. Dead and
+// undeployed nodes are skipped.
+func (p *Protocol) applyActive(i int) {
+	h := &p.hot
+	id := topology.NodeID(i)
+	if !p.channel.Alive(id) || !h.deployed[i] {
+		return
+	}
+	node := p.nodes[i]
+	if !h.gate[i] {
+		p.sampleNodeClassic(i)
+		return
+	}
+	mask := h.mask[i]
+	for _, t := range node.Mounted().Types() {
+		if mask&(1<<uint(t)) == 0 {
 			continue
 		}
-		node := p.nodes[i]
-		if h.gate[i] {
-			mask := h.mask[i]
-			for _, t := range node.Mounted().Types() {
-				if mask&(1<<uint(t)) == 0 {
-					continue
-				}
-				node.OnReading(t, p.gen.Value(id, t))
-				p.refreshWindow(i, t)
-			}
-			continue // controller tick, if any, happens via tickList below
-		}
-		p.sampleNodeClassic(i) // ungated node: the classic per-node step
+		node.OnReading(t, p.gen.Value(id, t))
+		p.refreshWindow(i, t)
 	}
+	// The controller tick, if any, happens via tickList in tickAndEstimate.
+}
 
-	// Epoch clocks of gated controllers that still count epochs (the
-	// static-index freeze schedule) keep ticking even on quiet epochs.
+// tickAndEstimate is the serial tail of a gated epoch: the epoch clocks of
+// gated controllers that still count epochs (the static-index freeze
+// schedule) keep ticking even on quiet epochs, then the root emits its
+// hourly estimate if one is due.
+func (p *Protocol) tickAndEstimate(now sim.Time) {
+	h := &p.hot
 	for _, ti := range h.tickList {
 		i := int(ti)
-		id := topology.NodeID(i)
-		if !p.channel.Alive(id) || !h.deployed[i] {
+		if !p.channel.Alive(topology.NodeID(i)) || !h.deployed[i] {
 			continue
 		}
 		p.nodes[i].TickEpoch()
 	}
+	p.emitEstimateIfDue(now)
+}
 
+// emitEstimateIfDue emits the root's estimate on hour boundaries.
+func (p *Protocol) emitEstimateIfDue(now sim.Time) {
 	if p.cfg.EpochsPerHour > 0 && now%sim.Time(p.cfg.EpochsPerHour) == 0 && now > 0 {
 		p.emitEstimate()
 	}

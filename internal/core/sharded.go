@@ -1,19 +1,16 @@
 package core
 
-import (
-	"repro/internal/sim"
-	"repro/internal/topology"
-)
+import "repro/internal/sim"
 
 // runEpochSharded is the intra-epoch parallel form of the gated loop in
 // RunEpoch. The epoch splits into two fan-out phases with serial merge
 // points between them, chosen so every phase either runs the exact serial
 // arithmetic on disjoint state or runs serially:
 //
-//  1. Sweep: contiguous ID ranges are swept node-major in parallel
-//     (sensordata.ActiveSweepRange evaluates the identical per-(node,
-//     type) proof), producing per-range ascending worklists whose
-//     concatenation equals the serial sorted worklist bit-for-bit.
+//  1. Sweep: contiguous ID ranges are swept in parallel by the same
+//     sensordata.ActiveSweepRange call the serial loop makes over [0, N),
+//     producing per-range ascending worklists whose concatenation equals
+//     the serial worklist bit-for-bit.
 //  2. Apply: each shard walks the worklist and processes only its own
 //     subtree-partitioned nodes. All writes are node-local (tables,
 //     controllers, the node's MAC queue), shard-local (Update Message
@@ -31,7 +28,7 @@ func (p *Protocol) runEpochSharded(now sim.Time) {
 	k := p.cfg.Shards
 	w := p.cfg.Workers
 
-	// Phase 1: parallel node-major sweep over contiguous ID ranges.
+	// Phase 1: parallel sweep over contiguous ID ranges.
 	p.gen.PrepareConcurrentReads()
 	w.Run(k, func(r int) {
 		p.sweepDst[r] = p.gen.ActiveSweepRange(
@@ -39,7 +36,7 @@ func (p *Protocol) runEpochSharded(now sim.Time) {
 	})
 
 	// Merge: ranges are ascending and contiguous, so plain concatenation
-	// reproduces the serial loop's sorted worklist without a sort.
+	// reproduces the serial loop's ascending worklist without a sort.
 	active := h.active[:0]
 	for r := 0; r < k; r++ {
 		active = append(active, p.sweepDst[r]...)
@@ -55,44 +52,16 @@ func (p *Protocol) runEpochSharded(now sim.Time) {
 	w.Run(k, func(s int) {
 		shard := int32(s)
 		for _, ai := range active {
-			if p.shardOf[ai] != shard {
-				continue
+			if p.shardOf[ai] == shard {
+				p.applyActive(int(ai))
 			}
-			i := int(ai)
-			id := topology.NodeID(i)
-			if !p.channel.Alive(id) || !h.deployed[i] {
-				continue
-			}
-			node := p.nodes[i]
-			if h.gate[i] {
-				mask := h.mask[i]
-				for _, t := range node.Mounted().Types() {
-					if mask&(1<<uint(t)) == 0 {
-						continue
-					}
-					node.OnReading(t, p.gen.Value(id, t))
-					p.refreshWindow(i, t)
-				}
-				continue
-			}
-			p.sampleNodeClassic(i)
 		}
 	})
 	p.mac.EndStaging()
 	p.channel.Unfreeze()
 
 	// Serial tail: epoch clocks of counting controllers, hourly estimate.
-	for _, ti := range h.tickList {
-		i := int(ti)
-		id := topology.NodeID(i)
-		if !p.channel.Alive(id) || !h.deployed[i] {
-			continue
-		}
-		p.nodes[i].TickEpoch()
-	}
-	if p.cfg.EpochsPerHour > 0 && now%sim.Time(p.cfg.EpochsPerHour) == 0 && now > 0 {
-		p.emitEstimate()
-	}
+	p.tickAndEstimate(now)
 }
 
 // observeShardBalance feeds the per-shard worklist sizes into the shard

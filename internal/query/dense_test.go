@@ -1,0 +1,185 @@
+package query
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/sensordata"
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// closureWorkload is a frozen copy of Workload.Next as it was before the
+// width probes read dense candidate readings: every probe re-reads each
+// node's value through a closure. TestNextMatchesClosureProbes holds the
+// dense version to its queries, ground truth and evaluation count.
+type closureWorkload struct {
+	target  float64
+	rng     *sim.RNG
+	nextID  int64
+	typeSeq int
+	cand    []topology.NodeID
+	stamp   []int32
+	pass    int32
+}
+
+func (w *closureWorkload) Next(gen *sensordata.Generator, tree *topology.Tree,
+	mounted []sensordata.TypeSet) (Query, GroundTruth) {
+
+	qt := sensordata.AllTypes()[w.typeSeq%int(sensordata.NumTypes)]
+	w.typeSeq++
+
+	value := func(id topology.NodeID) float64 { return gen.Value(id, qt) }
+
+	candidates := w.cand[:0]
+	for i := range mounted {
+		id := topology.NodeID(i)
+		if id != tree.Root() && mounted[i].Has(qt) && tree.Contains(id) {
+			candidates = append(candidates, id)
+		}
+	}
+	w.cand = candidates
+	q := Query{ID: w.nextID, Type: qt}
+	w.nextID++
+	if len(candidates) == 0 {
+		lo, _ := qt.Span()
+		q.Lo, q.Hi = lo, lo
+		return q, Resolve(q, tree, mounted, value)
+	}
+	centre := value(candidates[w.rng.Intn(len(candidates))])
+
+	span := qt.SpanWidth()
+	n := tree.Len()
+	loW, hiW := 0.0, span
+	var best Query
+	bestErr := 2.0
+	for iter := 0; iter < 24; iter++ {
+		mid := (loW + hiW) / 2
+		cand := Query{ID: q.ID, Type: qt, Lo: centre - mid, Hi: centre + mid}
+		involved := w.involvedCount(cand, tree, mounted, value)
+		frac := 0.0
+		if n > 1 {
+			frac = float64(involved) / float64(n-1)
+		}
+		if e := abs(frac - w.target); e < bestErr {
+			bestErr = e
+			best = cand
+		}
+		if frac < w.target {
+			loW = mid
+		} else {
+			hiW = mid
+		}
+	}
+	return best, Resolve(best, tree, mounted, value)
+}
+
+func (w *closureWorkload) involvedCount(q Query, tree *topology.Tree,
+	mounted []sensordata.TypeSet, value func(topology.NodeID) float64) int {
+
+	n := len(mounted)
+	if cap(w.stamp) < n {
+		w.stamp = make([]int32, n)
+	}
+	stamp := w.stamp[:n]
+	w.pass++
+	root := tree.Root()
+	count := 0
+	for i := range mounted {
+		id := topology.NodeID(i)
+		if id == root || !mounted[i].Has(q.Type) || !tree.Contains(id) {
+			continue
+		}
+		if !q.Matches(value(id)) {
+			continue
+		}
+		for hop := id; hop != root; {
+			if stamp[hop] == w.pass {
+				break
+			}
+			stamp[hop] = w.pass
+			count++
+			p, ok := tree.Parent(hop)
+			if !ok {
+				break
+			}
+			hop = p
+		}
+	}
+	return count
+}
+
+// TestNextMatchesClosureProbes runs the frozen closure-probe Next and
+// today's Next side by side, each on its own generator of the same seed,
+// over heterogeneous sensor complements and a tree with a detached
+// subtree (so the mount and membership filters both bite). Queries,
+// ground truth and the number of field evaluations must agree exactly.
+func TestNextMatchesClosureProbes(t *testing.T) {
+	seeds := 32
+	if testing.Short() {
+		seeds = 4
+	}
+	for _, n := range []int{50, 2000} {
+		for seed := 1; seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("n%d/seed%d", n, seed), func(t *testing.T) {
+				checkNextAgainstClosure(t, n, uint64(seed))
+			})
+		}
+	}
+}
+
+func checkNextAgainstClosure(t *testing.T, n int, seed uint64) {
+	rng := sim.NewRNG(seed)
+	side := 100 * math.Sqrt(float64(n)/50)
+	g, err := topology.PlaceRandom(topology.PlacementConfig{
+		N: n, Width: side, Height: side, RadioRange: 25}, rng.Stream("place"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := topology.BuildSpanningTree(g, topology.Root, 8, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut one subtree loose: its nodes keep their sensors but leave the
+	// tree, so neither Next may count them.
+	if _, err := tr.Detach(topology.NodeID(1 + rng.Stream("cut").Intn(n-1))); err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]topology.Position, g.Len())
+	for i := range pos {
+		pos[i] = g.Pos(topology.NodeID(i))
+	}
+	mounted := sensordata.AssignTypes(n, 0.4, rng.Stream("types"))
+	oldGen := sensordata.NewGenerator(pos, rng.Stream("data"))
+	newGen := sensordata.NewGenerator(pos, rng.Stream("data"))
+
+	for _, target := range []float64{0.2, 0.4, 0.6} {
+		stream := fmt.Sprintf("workload-%v", target)
+		old := &closureWorkload{target: target, rng: rng.Stream(stream)}
+		w, err := NewWorkload(target, rng.Stream(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 8; k++ {
+			wantQ, wantGT := old.Next(oldGen, tr, mounted)
+			gotQ, gotGT := w.Next(newGen, tr, mounted)
+			if gotQ != wantQ {
+				t.Fatalf("target %v query %d: got %v, want %v", target, k, gotQ, wantQ)
+			}
+			if !slices.Equal(gotGT.Sources, wantGT.Sources) || !maps.Equal(gotGT.Should, wantGT.Should) {
+				t.Fatalf("target %v query %d: ground truth differs (%d/%d sources, %d/%d should)",
+					target, k, len(gotGT.Sources), len(wantGT.Sources), len(gotGT.Should), len(wantGT.Should))
+			}
+			if got, want := newGen.Evals(), oldGen.Evals(); got != want {
+				t.Fatalf("target %v query %d: %d field evaluations, want %d", target, k, got, want)
+			}
+			for e := 0; e < 3; e++ {
+				oldGen.Step()
+				newGen.Step()
+			}
+		}
+	}
+}

@@ -90,10 +90,12 @@ type Workload struct {
 	nextID  int64
 	typeSeq int
 
-	// Reusable scratch for Next: candidate centre nodes, and an epoch-
-	// stamped visited marker so the width search can count involvement
-	// without building a GroundTruth per probe.
+	// Reusable scratch for Next: candidate centre nodes, their readings
+	// (parallel to cand), and an epoch-stamped visited marker so the width
+	// search can count involvement without building a GroundTruth per
+	// probe.
 	cand  []topology.NodeID
+	vals  []float64
 	stamp []int32
 	pass  int32
 }
@@ -133,7 +135,9 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 
 	value := func(id topology.NodeID) float64 { return gen.Value(id, qt) }
 
-	// Centre the window on a random node that actually mounts this type.
+	// The candidates are exactly the nodes a probe tests: non-root tree
+	// members that mount this type. Each is read once, here, and every
+	// probe scans the readings; the window is centred on a random one.
 	candidates := w.cand[:0]
 	for i := range mounted {
 		id := topology.NodeID(i)
@@ -142,6 +146,13 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 		}
 	}
 	w.cand = candidates
+	if cap(w.vals) < len(candidates) {
+		w.vals = make([]float64, len(candidates))
+	}
+	w.vals = w.vals[:len(candidates)]
+	for k, id := range candidates {
+		w.vals[k] = value(id)
+	}
 	q := Query{ID: w.nextID, Type: qt}
 	w.nextID++
 	if len(candidates) == 0 {
@@ -150,7 +161,7 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 		q.Lo, q.Hi = lo, lo
 		return q, Resolve(q, tree, mounted, value)
 	}
-	centre := value(candidates[w.rng.Intn(len(candidates))])
+	centre := w.vals[w.rng.Intn(len(candidates))]
 
 	// Binary search the half-width for the target involvement. The probes
 	// only need the involved-node count, so they use the allocation-free
@@ -163,7 +174,7 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 	for iter := 0; iter < 24; iter++ {
 		mid := (loW + hiW) / 2
 		cand := Query{ID: q.ID, Type: qt, Lo: centre - mid, Hi: centre + mid}
-		involved := w.involvedCount(cand, tree, mounted, value)
+		involved := w.involvedCount(cand, tree, len(mounted))
 		frac := 0.0
 		if n > 1 {
 			frac = float64(involved) / float64(n-1)
@@ -182,12 +193,10 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 }
 
 // involvedCount returns what len(Resolve(q, ...).Should) would be — the
-// number of distinct non-root nodes on root-to-source paths — using a
-// reusable stamp buffer instead of materializing the set.
-func (w *Workload) involvedCount(q Query, tree *topology.Tree,
-	mounted []sensordata.TypeSet, value func(topology.NodeID) float64) int {
-
-	n := len(mounted)
+// number of distinct non-root nodes on root-to-source paths — over the
+// candidate readings Next collected, using a reusable stamp buffer
+// instead of materializing the set. n is the network size.
+func (w *Workload) involvedCount(q Query, tree *topology.Tree, n int) int {
 	if cap(w.stamp) < n {
 		w.stamp = make([]int32, n)
 	}
@@ -195,14 +204,11 @@ func (w *Workload) involvedCount(q Query, tree *topology.Tree,
 	w.pass++
 	root := tree.Root()
 	count := 0
-	for i := range mounted {
-		id := topology.NodeID(i)
-		if id == root || !mounted[i].Has(q.Type) || !tree.Contains(id) {
+	for k, v := range w.vals {
+		if !q.Matches(v) {
 			continue
 		}
-		if !q.Matches(value(id)) {
-			continue
-		}
+		id := w.cand[k]
 		for hop := id; hop != root; {
 			if stamp[hop] == w.pass {
 				break

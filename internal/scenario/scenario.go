@@ -495,8 +495,8 @@ func BuildWithEngine(cfg Config, engine *sim.Engine) (*Runner, error) {
 		})
 		gen.SetTelemetry(sensordata.Telemetry{
 			Evals:        reg.Counter("dirq_field_evals_total", "Per-(node,type) field evaluations."),
-			SweepHits:    reg.Counter("dirq_field_sweep_hits_total", "Nodes ActiveSweep could not prove quiet."),
-			SweepRefutes: reg.Counter("dirq_field_sweep_refutations_total", "Nodes ActiveSweep proved quiet and skipped."),
+			SweepHits:    reg.Counter("dirq_field_sweep_hits_total", "(Node, type) pairs the activity sweep could not prove quiet."),
+			SweepRefutes: reg.Counter("dirq_field_sweep_refutations_total", "(Node, type) pairs the activity sweep proved quiet and skipped."),
 		})
 		pcfg.Telemetry = core.Telemetry{
 			Epochs:        reg.Counter("dirq_epochs_total", "Simulation epochs executed."),

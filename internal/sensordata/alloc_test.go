@@ -17,34 +17,33 @@ func TestStepSweepValueAllocFree(t *testing.T) {
 	g := NewGenerator(pos, sim.NewRNG(9).Stream("data"))
 
 	n := len(pos)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		// Mid-width windows so the sweep exercises both outcomes.
-		lo[i], hi[i] = 10, 20
+	var lo, hi [NumTypes][]float64
+	for ty := range lo {
+		lo[ty], hi[ty] = make([]float64, n), make([]float64, n)
+		for i := range lo[ty] {
+			// Mid-width windows so the sweep exercises both outcomes.
+			lo[ty][i], hi[ty][i] = 10, 20
+		}
 	}
+	mask := make([]uint8, n)
 	dst := make([]int32, 0, n)
 
 	// Warm up lazy state and the sweep scratch.
 	for e := 0; e < 3; e++ {
 		g.Step()
-		for _, ty := range AllTypes() {
-			dst = g.ActiveSweep(ty, lo, hi, dst[:0])
-		}
+		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
 		g.Value(0, Temperature)
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
 		g.Step()
-		for _, ty := range AllTypes() {
-			dst = g.ActiveSweep(ty, lo, hi, dst[:0])
-		}
+		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
 		for i := 0; i < 8; i++ {
 			g.Value(topology.NodeID(i*17%len(pos)), Humidity)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Step+ActiveSweep+Value allocate %.1f objects per epoch, want 0", allocs)
+		t.Fatalf("Step+ActiveSweepRange+Value allocate %.1f objects per epoch, want 0", allocs)
 	}
 }
 
@@ -65,30 +64,28 @@ func TestQuiescentWindowZeroEvaluations(t *testing.T) {
 	}
 
 	n := len(pos)
+	mask := make([]uint8, n)
 	dst := make([]int32, 0, n)
 
 	// One pass to establish values and hysteresis-style windows around
 	// them, exactly as the protocol would after the first reading. The
 	// window is deliberately razor thin: with a static field even ±1e-6
 	// is provably safe.
-	type win struct{ lo, hi []float64 }
-	wins := make([]win, NumTypes)
+	var lo, hi [NumTypes][]float64
 	for _, ty := range AllTypes() {
-		wins[ty] = win{lo: make([]float64, n), hi: make([]float64, n)}
+		lo[ty], hi[ty] = make([]float64, n), make([]float64, n)
 		for i := 0; i < n; i++ {
 			v := g.Value(topology.NodeID(i), ty)
-			wins[ty].lo[i], wins[ty].hi[i] = v-1e-6, v+1e-6
+			lo[ty][i], hi[ty][i] = v-1e-6, v+1e-6
 		}
 	}
 
 	start := g.Evals()
 	for epoch := 0; epoch < 500; epoch++ {
 		g.Step()
-		for _, ty := range AllTypes() {
-			if act := g.ActiveSweep(ty, wins[ty].lo, wins[ty].hi, dst[:0]); len(act) != 0 {
-				t.Fatalf("epoch %d: static field flagged %d active nodes for %s",
-					epoch, len(act), ty)
-			}
+		if act := g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0]); len(act) != 0 {
+			t.Fatalf("epoch %d: static field flagged %d active nodes (first %d, mask %04b)",
+				epoch, len(act), act[0], mask[act[0]])
 		}
 	}
 	if got := g.Evals(); got != start {
@@ -105,43 +102,41 @@ func TestSweepNeverLies(t *testing.T) {
 	g := NewGenerator(pos, sim.NewRNG(7).Stream("data"))
 
 	n := len(pos)
-	active := make([]bool, n)
+	active := make([]uint8, n) // per node: active type bits this epoch
+	mask := make([]uint8, n)
 	dst := make([]int32, 0, n)
 
 	// Hysteresis-style windows around the initial readings (δ = 5% of
 	// span, like the paper's default), re-centred whenever a value
 	// escapes — exactly the protocol's rule.
-	type win struct{ lo, hi []float64 }
-	wins := make([]win, NumTypes)
+	var lo, hi [NumTypes][]float64
 	for _, ty := range AllTypes() {
-		wins[ty] = win{lo: make([]float64, n), hi: make([]float64, n)}
+		lo[ty], hi[ty] = make([]float64, n), make([]float64, n)
 		delta := ty.SpanWidth() * 0.05
 		for i := 0; i < n; i++ {
 			v := g.Value(topology.NodeID(i), ty)
-			wins[ty].lo[i], wins[ty].hi[i] = v-delta, v+delta
+			lo[ty][i], hi[ty][i] = v-delta, v+delta
 		}
 	}
 	for epoch := 1; epoch <= 400; epoch++ {
 		g.Step()
+		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
+		clear(active)
+		for _, i := range dst {
+			active[i] = mask[i]
+		}
 		for _, ty := range AllTypes() {
-			w := wins[ty]
-			dst = g.ActiveSweep(ty, w.lo, w.hi, dst[:0])
-			for i := range active {
-				active[i] = false
-			}
-			for _, i := range dst {
-				active[i] = true
-			}
+			wlo, whi := lo[ty], hi[ty]
 			delta := ty.SpanWidth() * 0.05
 			for i := 0; i < n; i++ {
 				v := g.Value(topology.NodeID(i), ty)
-				if !active[i] && (v < w.lo[i] || v > w.hi[i]) {
+				if active[i]&(1<<uint(ty)) == 0 && (v < wlo[i] || v > whi[i]) {
 					t.Fatalf("epoch %d node %d type %s: sweep claimed quiet but value %v escaped [%v, %v]",
-						epoch, i, ty, v, w.lo[i], w.hi[i])
+						epoch, i, ty, v, wlo[i], whi[i])
 				}
-				if v < w.lo[i] || v > w.hi[i] {
+				if v < wlo[i] || v > whi[i] {
 					// Re-centre, as the hysteresis rule would.
-					w.lo[i], w.hi[i] = v-delta, v+delta
+					wlo[i], whi[i] = v-delta, v+delta
 				}
 			}
 		}

@@ -17,8 +17,9 @@
 // Field evaluation is lazy and activity-gated: Step advances only the
 // field state (drawing exactly the RNG sequence it always drew, so runs
 // stay bit-reproducible) while the exp-heavy per-node evaluation happens
-// on first read. ActiveSweep conservatively refutes hysteresis escapes in
-// O(1) per (node, type) — exact diurnal/noise/bias terms plus an
-// accumulated bound on plume motion — so a quiescent network's epoch cost
-// is a handful of flops per node instead of a field evaluation.
+// on first read. ActiveSweepRange conservatively refutes hysteresis
+// escapes in O(1) per (node, type) — exact diurnal/noise/bias terms plus
+// an accumulated bound on plume motion — and the escape calendar
+// (escape.go) hands it only the pairs whose deadline has arrived, so a
+// quiescent network's epoch cost tracks its active set, not its size.
 package sensordata

@@ -2,13 +2,13 @@ package sensordata
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"repro/internal/topology"
 )
 
-// This file implements the escape-time calendar that makes ActiveSweep and
-// ActiveSweepRange O(active + due) per epoch instead of O(N·types).
+// This file implements the escape-time calendar that makes ActiveSweepRange
+// O(active + due) per epoch instead of O(N·types).
 //
 // The idea: every refutation already computes a conservative bracket
 // [vlo, vhi] around a node's possible reading and a margin to its window.
@@ -108,10 +108,7 @@ func (g *Generator) escInit() {
 	g.prevDue = make([]int32, 0, n)
 	g.prevMask = make([]uint8, 0, n)
 	g.dueMask = make([]uint8, n)
-	g.dueStamp = make([]int64, n)
-	for i := range g.dueStamp {
-		g.dueStamp[i] = -1
-	}
+	g.dueBits = make([]uint64, (n+63)/64)
 	g.escEpoch = -1
 	g.escAllDue = true
 	for _, t := range AllTypes() {
@@ -210,14 +207,21 @@ func (g *Generator) InvalidateWindows() {
 	g.escInvalidate()
 }
 
-// escMarkDue adds the given type bits of node i to this epoch's due set.
-func (g *Generator) escMarkDue(i int, bits uint8, epoch int64) {
-	if g.dueStamp[i] != epoch {
-		g.dueStamp[i] = epoch
+// escMarkDue adds the given type bits of node i to the due set being
+// built; the node's due bits start from zero the first time it is marked.
+func (g *Generator) escMarkDue(i int, types uint8) {
+	w, b := i>>6, uint64(1)<<(uint(i)&63)
+	if g.dueBits[w]&b == 0 {
+		g.dueBits[w] |= b
 		g.dueMask[i] = 0
-		g.dueNodes = append(g.dueNodes, int32(i))
 	}
-	g.dueMask[i] |= bits
+	g.dueMask[i] |= types
+}
+
+// escDueNow reports whether type bit of node i is already in the due set
+// being built.
+func (g *Generator) escDueNow(i int, bit uint8) bool {
+	return g.dueBits[i>>6]&(uint64(1)<<(uint(i)&63)) != 0 && g.dueMask[i]&bit != 0
 }
 
 // escDrain computes the current epoch's due set: the previous due set is
@@ -232,13 +236,11 @@ func (g *Generator) escDrain() {
 	}
 	g.escEpoch = g.epoch
 	n := len(g.positions)
-	epoch := g.epoch
 	g.dueNodes = g.dueNodes[:0]
 	if g.escAllDue {
 		g.escAllDue = false
 		g.forced = g.forced[:0]
 		for i := 0; i < n; i++ {
-			g.dueStamp[i] = epoch
 			g.dueMask[i] = escAllMask
 			g.dueNodes = append(g.dueNodes, int32(i))
 		}
@@ -260,7 +262,7 @@ func (g *Generator) escDrain() {
 		for _, t := range AllTypes() {
 			g.esc[t].unlink(i)
 		}
-		g.escMarkDue(i, escAllMask, epoch)
+		g.escMarkDue(i, escAllMask)
 	}
 	g.forced = g.forced[:0]
 	// Placement: route the previous due set per the recorded thresholds.
@@ -274,7 +276,7 @@ func (g *Generator) escDrain() {
 			if pm&bit == 0 {
 				continue
 			}
-			if g.dueStamp[i] == epoch && g.dueMask[i]&bit != 0 {
+			if g.escDueNow(i, bit) {
 				continue // already forced due this epoch
 			}
 			T := g.nextT[int(t)*n+i]
@@ -282,13 +284,13 @@ func (g *Generator) escDrain() {
 				continue
 			}
 			if math.IsNaN(T) {
-				g.escMarkDue(i, bit, epoch)
+				g.escMarkDue(i, bit)
 				continue
 			}
 			cal := &g.esc[t]
 			j := int64(T / cal.bw)
 			if j <= cal.lastJ {
-				g.escMarkDue(i, bit, epoch)
+				g.escMarkDue(i, bit)
 				continue
 			}
 			if j >= cal.lastJ+escBuckets {
@@ -315,14 +317,25 @@ func (g *Generator) escDrain() {
 			for id := cal.head[slot]; id >= 0; {
 				nxt := cal.next[id]
 				cal.bucketOf[id] = -1
-				g.escMarkDue(int(id), bit, epoch)
+				g.escMarkDue(int(id), bit)
 				id = nxt
 			}
 			cal.head[slot] = -1
 		}
 		cal.lastJ = j1
 	}
-	slices.Sort(g.dueNodes)
+	// Read the due set out of the bitset in ascending node order, clearing
+	// it for the next drain: O(N/64 + due), with no sort.
+	for w, word := range g.dueBits {
+		if word == 0 {
+			continue
+		}
+		g.dueBits[w] = 0
+		base := int32(w << 6)
+		for ; word != 0; word &= word - 1 {
+			g.dueNodes = append(g.dueNodes, base+int32(bits.TrailingZeros64(word)))
+		}
+	}
 	// Mark every due (node, type) unexamined; exams overwrite the mark
 	// with the next threshold, and anything still NaN next drain stays
 	// due.

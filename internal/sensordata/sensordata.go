@@ -177,7 +177,7 @@ func (f *typeField) day(epoch int64) float64 {
 // positions, per-node AR(1) noise — consuming exactly the same RNG draws
 // as always, so determinism is untouched) while the expensive per-node
 // field evaluation happens only when a value is actually read. Together
-// with ActiveSweep this makes a quiescent network's per-epoch cost
+// with ActiveSweepRange this makes a quiescent network's per-epoch cost
 // independent of the plume math: nodes whose reading provably cannot have
 // left their hysteresis window are never evaluated at all.
 type Generator struct {
@@ -206,11 +206,11 @@ type Generator struct {
 	escEpoch  int64 // epoch the due set below is valid for
 	escAllDue bool  // next drain marks everything due
 	forced    []int32
-	dueNodes  []int32 // this epoch's due set, ascending
-	dueStamp  []int64 // per node: epoch it was last marked due
-	dueMask   []uint8 // per node: due type bits (valid when stamp matches)
-	prevDue   []int32 // previous drain's due set (compact)
-	prevMask  []uint8 // previous drain's due bits, parallel to prevDue
+	dueNodes  []int32  // this epoch's due set, ascending
+	dueBits   []uint64 // per-node bitset of the due set a drain is building; zero between drains
+	dueMask   []uint8  // per node: due type bits (valid for due nodes)
+	prevDue   []int32  // previous drain's due set (compact)
+	prevMask  []uint8  // previous drain's due bits, parallel to prevDue
 
 	tel Telemetry
 }
@@ -222,13 +222,13 @@ type Telemetry struct {
 	// Evals counts per-(node, type) field evaluations — the expensive
 	// plume math the lazy layer tries to avoid.
 	Evals *telemetry.Counter
-	// SweepHits counts nodes ActiveSweep could NOT prove quiet (appended
-	// to the worklist).
+	// SweepHits counts (node, type) pairs ActiveSweepRange could NOT
+	// prove quiet.
 	SweepHits *telemetry.Counter
-	// SweepRefutes counts nodes ActiveSweep examined and proved quiet.
-	// With the escape calendar, nodes whose deadline has not arrived are
-	// skipped without being examined or counted, so on a quiescent epoch
-	// this stays O(active set), not O(N).
+	// SweepRefutes counts (node, type) pairs ActiveSweepRange examined and
+	// proved quiet. With the escape calendar, pairs whose deadline has not
+	// arrived are skipped without being examined or counted, so on a
+	// quiescent epoch this stays O(active set), not O(N).
 	SweepRefutes *telemetry.Counter
 }
 
@@ -416,7 +416,7 @@ const maxPlumeSlope = 0.6065306597126334
 // phase advances, and per-node AR(1) noise evolves. Values are NOT
 // recomputed here; each type's cumulative plume-motion bound grows by how
 // much this epoch's drift can possibly have changed any node's plume sum,
-// which is what lets ActiveSweep refute hysteresis escapes without
+// which is what lets ActiveSweepRange refute hysteresis escapes without
 // evaluating the field.
 func (g *Generator) Step() {
 	g.epoch++
@@ -531,84 +531,6 @@ func (g *Generator) compute() {
 	}
 }
 
-// ActiveSweep appends to dst the IDs of nodes whose current-epoch reading
-// for type t cannot be *proven* to lie inside the caller's per-node window
-// [lo[i], hi[i]] — for the DirQ protocol, the node's own hysteresis tuple.
-// The proof is conservative and O(1) per node: the diurnal, noise and bias
-// terms are exact (the generator evolves them every epoch anyway), only
-// the plume sum is bracketed by the cumulative motion bound accumulated
-// since the node's last evaluation, and the bracket is clamped to the
-// physical span exactly like real readings. Sentinel windows compose
-// naturally: (+Inf, -Inf) is always swept out (evaluate every epoch),
-// (-Inf, +Inf) never is (unmounted or dead nodes).
-//
-// A node missing from the result is guaranteed to read a value inside its
-// window this epoch, so skipping its hysteresis check is behaviour-
-// preserving, not an approximation.
-//
-// The sweep consumes the escape calendar (see escape.go): only nodes
-// whose re-examination deadline has arrived are examined, with the exact
-// predicate the full scan used, so the result is byte-identical while the
-// per-epoch cost is O(active + due). This imposes a window-stability
-// contract: between sweeps, callers may rewrite windows only for nodes
-// the previous sweep reported active (the usual sweep→sample→refresh
-// cycle), or must announce the rewrite with MarkWindowDirty /
-// InvalidateWindows.
-func (g *Generator) ActiveSweep(t Type, lo, hi []float64, dst []int32) []int32 {
-	g.escDrain()
-	f := g.fields[t]
-	n := len(g.positions)
-	base := f.params.Base + f.day(g.epoch)
-	// Tiny absolute margin so float rounding in the reconstruction can
-	// never flip a knife-edge case to a false "quiet".
-	cum := f.cumBound + 1e-9
-	spanLo, spanHi := t.Span()
-	noise, bias := f.noise, f.bias
-	snapP := g.snapPlume[int(t)*n : int(t)*n+n]
-	snapC := g.snapCum[int(t)*n : int(t)*n+n]
-	nextT := g.nextT[int(t)*n : int(t)*n+n]
-	A := f.escA
-	safety := escSafetyMargins[t]
-	bit := uint8(1) << uint(t)
-	start := len(dst)
-	examined := 0
-	for _, id := range g.dueNodes {
-		if g.dueMask[id]&bit == 0 {
-			continue
-		}
-		examined++
-		i := int(id)
-		dev := cum - snapC[i]
-		c := base + noise[i] + bias[i] + snapP[i]
-		vlo, vhi := c-dev, c+dev
-		if vlo < spanLo {
-			vlo = spanLo
-		}
-		if vhi > spanHi {
-			vhi = spanHi
-		}
-		if vlo < lo[i] || vhi > hi[i] {
-			dst = append(dst, int32(i))
-			nextT[i] = A // active: re-examine next epoch
-		} else {
-			m := vlo - lo[i]
-			if d := hi[i] - vhi; d < m {
-				m = d
-			}
-			// m is +Inf for unreachable windows: parked until dirtied.
-			T := A + m - safety
-			if !(T > A) {
-				T = A
-			}
-			nextT[i] = T
-		}
-	}
-	hits := len(dst) - start
-	g.tel.SweepHits.Add(int64(hits))
-	g.tel.SweepRefutes.Add(int64(examined - hits))
-	return dst
-}
-
 // PrepareConcurrentReads warms every mutable read-path cache (today just
 // the per-type diurnal term) so that Value, eval and ActiveSweepRange can
 // run concurrently for the current epoch without racing on cache fills.
@@ -622,84 +544,107 @@ func (g *Generator) PrepareConcurrentReads() {
 	g.escDrain()
 }
 
-// ActiveSweepRange is the shard-parallel form of ActiveSweep: it applies
-// the identical per-(node, type) quiescence proof to nodes in [from, to)
-// across ALL types at once, writing the per-node active-type bitmask into
-// mask[i] and appending each active node's ID to dst (ascending, since
-// the walk is in ID order). The float expressions are evaluated in the
-// exact order ActiveSweep uses, so the swept-out set — and therefore the
-// downstream protocol behaviour — is bit-identical to four serial
-// per-type sweeps over the same windows.
+// ActiveSweepRange finds the nodes in [from, to) whose current-epoch
+// reading for some type t cannot be *proven* to lie inside the caller's
+// per-(type, node) window [lo[t][i], hi[t][i]] — for the DirQ protocol,
+// the node's own hysteresis tuple. It writes each such node's active-type
+// bitmask into mask[i] and appends its ID to dst in ascending order. The
+// serial epoch sweeps [0, N) in one call; the sharded epoch sweeps
+// contiguous ranges concurrently and concatenates the results.
 //
-// mask entries for quiet nodes are left untouched (the serial path only
-// defines mask for active nodes too). Requires PrepareConcurrentReads for
-// the current epoch when ranges run concurrently — it also resolves the
-// epoch's escape-calendar due set, which concurrent ranges only read.
-// Telemetry totals match the serial sweep: per-type hits and
-// examined-but-quiet refutes over this range are added to the (atomic)
-// counters. The window-stability contract documented on ActiveSweep
-// applies here too.
+// The proof is conservative and O(1) per (node, type): the diurnal, noise
+// and bias terms are exact (the generator evolves them every epoch
+// anyway), only the plume sum is bracketed by the cumulative motion bound
+// accumulated since the node's last evaluation, and the bracket is
+// clamped to the physical span exactly like real readings. Sentinel
+// windows compose naturally: (+Inf, -Inf) is always swept out (evaluate
+// every epoch), (-Inf, +Inf) never is (unmounted or dead nodes). A node
+// missing from the result is guaranteed to read values inside its windows
+// this epoch, so skipping its hysteresis checks is behaviour-preserving,
+// not an approximation.
+//
+// The sweep consumes the escape calendar (see escape.go): only the
+// (node, type) pairs whose re-examination deadline has arrived are
+// examined, so the per-epoch cost is O(active + due). The walk is
+// type-major over the range's slice of the ascending due set, and every
+// write (mask, nextT) is node-local, so concurrent disjoint ranges do not
+// race. mask is zeroed for every due node in the range; entries of nodes
+// that were not due are left untouched and carry no meaning. Telemetry:
+// per-type hits and examined-but-quiet refutes over the range are added
+// to the (atomic) counters.
+//
+// Concurrent ranges require PrepareConcurrentReads for the current epoch;
+// it also resolves the epoch's due set, which the ranges only read. The
+// calendar imposes a window-stability contract: between sweeps, callers
+// may rewrite windows only for nodes the previous sweep reported active
+// (the usual sweep→sample→refresh cycle), or must announce the rewrite
+// with MarkWindowDirty / InvalidateWindows.
 func (g *Generator) ActiveSweepRange(lo, hi *[NumTypes][]float64, mask []uint8, from, to int, dst []int32) []int32 {
 	g.escDrain()
 	n := len(g.positions)
-	var base, cum, spanLo, spanHi, A [NumTypes]float64
-	var noise, bias, snapP, snapC [NumTypes][]float64
+	due := g.dueNodes
+	p0 := sort.Search(len(due), func(k int) bool { return int(due[k]) >= from })
+	due = due[p0:]
+	due = due[:sort.Search(len(due), func(k int) bool { return int(due[k]) >= to })]
+	dueMask := g.dueMask
+	for _, id := range due {
+		mask[id] = 0
+	}
 	for _, t := range AllTypes() {
 		f := g.fields[t]
-		base[t] = f.params.Base + f.day(g.epoch)
-		cum[t] = f.cumBound + 1e-9
-		spanLo[t], spanHi[t] = t.Span()
-		noise[t], bias[t] = f.noise, f.bias
-		snapP[t] = g.snapPlume[int(t)*n : int(t)*n+n]
-		snapC[t] = g.snapCum[int(t)*n : int(t)*n+n]
-		A[t] = f.escA
-	}
-	var hits, examined [NumTypes]int64
-	due := g.dueNodes
-	p := sort.Search(len(due), func(k int) bool { return int(due[k]) >= from })
-	for ; p < len(due) && int(due[p]) < to; p++ {
-		i := int(due[p])
-		dm := g.dueMask[i]
-		var m uint8
-		for _, t := range AllTypes() {
-			bit := uint8(1) << uint(t)
-			if dm&bit == 0 {
+		base := f.params.Base + f.day(g.epoch)
+		// Tiny absolute margin so float rounding in the reconstruction can
+		// never flip a knife-edge case to a false "quiet".
+		cum := f.cumBound + 1e-9
+		spanLo, spanHi := t.Span()
+		noise, bias := f.noise[:n], f.bias[:n]
+		snapP := g.snapPlume[int(t)*n : int(t)*n+n]
+		snapC := g.snapCum[int(t)*n : int(t)*n+n]
+		nextT := g.nextT[int(t)*n : int(t)*n+n]
+		wlo, whi := lo[t][:n], hi[t][:n]
+		A := f.escA
+		safety := escSafetyMargins[t]
+		bit := uint8(1) << uint(t)
+		var hits, examined int64
+		for _, id := range due {
+			if dueMask[id]&bit == 0 {
 				continue
 			}
-			examined[t]++
-			dev := cum[t] - snapC[t][i]
-			c := base[t] + noise[t][i] + bias[t][i] + snapP[t][i]
+			examined++
+			i := int(id)
+			dev := cum - snapC[i]
+			c := base + noise[i] + bias[i] + snapP[i]
 			vlo, vhi := c-dev, c+dev
-			if vlo < spanLo[t] {
-				vlo = spanLo[t]
+			if vlo < spanLo {
+				vlo = spanLo
 			}
-			if vhi > spanHi[t] {
-				vhi = spanHi[t]
+			if vhi > spanHi {
+				vhi = spanHi
 			}
-			if vlo < lo[t][i] || vhi > hi[t][i] {
-				m |= bit
-				hits[t]++
-				g.nextT[int(t)*n+i] = A[t]
+			if vlo < wlo[i] || vhi > whi[i] {
+				mask[i] |= bit
+				hits++
+				nextT[i] = A // active: re-examine next epoch
 			} else {
-				mg := vlo - lo[t][i]
-				if d := hi[t][i] - vhi; d < mg {
-					mg = d
+				m := vlo - wlo[i]
+				if d := whi[i] - vhi; d < m {
+					m = d
 				}
-				T := A[t] + mg - escSafetyMargins[t]
-				if !(T > A[t]) {
-					T = A[t]
+				// m is +Inf for unreachable windows: parked until dirtied.
+				T := A + m - safety
+				if !(T > A) {
+					T = A
 				}
-				g.nextT[int(t)*n+i] = T
+				nextT[i] = T
 			}
 		}
-		if m != 0 {
-			mask[i] = m
-			dst = append(dst, int32(i))
-		}
+		g.tel.SweepHits.Add(hits)
+		g.tel.SweepRefutes.Add(examined - hits)
 	}
-	for _, t := range AllTypes() {
-		g.tel.SweepHits.Add(hits[t])
-		g.tel.SweepRefutes.Add(examined[t] - hits[t])
+	for _, id := range due {
+		if mask[id] != 0 {
+			dst = append(dst, id)
+		}
 	}
 	return dst
 }

@@ -1,0 +1,57 @@
+package sensordata
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// BenchmarkSweep times one epoch of the activity sweep — the escape
+// calendar's drain plus ActiveSweepRange over [0, N) — on a static field,
+// so the numbers isolate the sweep from field stepping:
+//
+//   - quiescent-100k: every pair sits in a window around its reading, so
+//     after the first sweep nothing is due and an epoch costs the drain's
+//     O(N/64) bitset walk;
+//   - half-active-25k: every other node rides the always-active sentinel,
+//     so half the network is due and active every epoch.
+func BenchmarkSweep(b *testing.B) {
+	b.Run("quiescent-100k", func(b *testing.B) { benchSweep(b, 100000, false) })
+	b.Run("half-active-25k", func(b *testing.B) { benchSweep(b, 25000, true) })
+}
+
+func benchSweep(b *testing.B, n int, halfActive bool) {
+	g := NewGenerator(refPositions(n, 1), sim.NewRNG(1).Stream("data"))
+	for _, ty := range AllTypes() {
+		p := g.Params(ty)
+		p.DriftStep, p.NoiseSigma, p.DiurnalAmp = 0, 0, 0
+		g.SetParams(ty, p)
+	}
+	var lo, hi [NumTypes][]float64
+	for _, ty := range AllTypes() {
+		lo[ty], hi[ty] = make([]float64, n), make([]float64, n)
+		delta := 0.05 * ty.SpanWidth()
+		for i := 0; i < n; i++ {
+			if halfActive && i%2 == 0 {
+				lo[ty][i], hi[ty][i] = math.Inf(1), math.Inf(-1)
+				continue
+			}
+			v := g.Value(topology.NodeID(i), ty)
+			lo[ty][i], hi[ty][i] = v-delta, v+delta
+		}
+	}
+	mask := make([]uint8, n)
+	// The first sweep examines every pair and parks the quiet ones.
+	dst := g.ActiveSweepRange(&lo, &hi, mask, 0, n, make([]int32, 0, n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		// With every dynamic zeroed, Step would change nothing the sweep
+		// reads but the epoch, so only the epoch advances.
+		g.epoch++
+		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
+	}
+	b.ReportMetric(float64(len(dst)), "active/op")
+}
