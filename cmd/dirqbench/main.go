@@ -12,11 +12,8 @@
 //     nodes. Scale entries time the steady state only (construction runs
 //     under a stopped timer) and record construction separately as
 //     setup_ns_per_op plus bytes_per_node, the built simulation's live
-//     heap per node. Siblings: an ungated ("naive") run at 1000 nodes
-//     whose ratio to the gated run is the activity-gating speedup, and
-//     sharded ("-s4") runs at 5000+ nodes whose ratio to the serial run
-//     is the intra-run sharding speedup (or, on a single-core host, its
-//     merge overhead);
+//     heap per node. Sibling: an ungated ("naive") run at 1000 nodes
+//     whose ratio to the gated run is the activity-gating speedup;
 //   - qps: the query-path throughput frontier — concurrent in-process
 //     clients against a live serve.Manager across a (shards ×
 //     settle-window × clients) grid, recording queries/sec, p50/p99
@@ -105,8 +102,8 @@ type File struct {
 	CPUs      int    `json:"cpus"`
 	// GoMaxProcs is runtime.GOMAXPROCS(0) at measurement time, alongside
 	// CPUs (the host's runtime.NumCPU): together they make multi-core
-	// claims — e.g. the ≥2.5x s4-vs-serial sharding target — checkable
-	// from the artifact alone. Absent in files written before rev pr9.
+	// claims checkable from the artifact alone. Absent in files written
+	// before rev pr9.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	// MemTotalBytes is the host's physical memory (MemTotal from
 	// /proc/meminfo; 0 where unavailable). Recorded so the bytes-per-node
@@ -203,18 +200,17 @@ func scale(quick bool) (nodes int, epochs int64) {
 // horizons, the steady phase is ≥ 80% of each full-scale iteration's
 // wall time and the column actually measures epochs.
 var scalePoints = []struct {
-	nodes          int
-	epochs         int64
-	quickEpochs    int64
-	includeNaive   bool
-	includeSharded bool // add a Shards=4 sibling ("-s4")
+	nodes        int
+	epochs       int64
+	quickEpochs  int64
+	includeNaive bool
 }{
 	{nodes: 50, epochs: 20000, quickEpochs: 3000},
 	{nodes: 250, epochs: 4000, quickEpochs: 600},
 	{nodes: 1000, epochs: 1000, quickEpochs: 150, includeNaive: true},
-	{nodes: 5000, epochs: 1000, quickEpochs: 30, includeSharded: true},
-	{nodes: 25000, epochs: 500, quickEpochs: 20, includeSharded: true},
-	{nodes: 100000, epochs: 600, quickEpochs: 5, includeSharded: true},
+	{nodes: 5000, epochs: 1000, quickEpochs: 30},
+	{nodes: 25000, epochs: 500, quickEpochs: 20},
+	{nodes: 100000, epochs: 600, quickEpochs: 5},
 }
 
 // scaleScenario builds one large-N workload config: constant node density
@@ -368,22 +364,6 @@ func specs(quick bool) []spec {
 				fn:    func(b *testing.B) { runScale(b, ncfg) },
 				snap:  func() (map[string]int64, error) { return telemetrySnapshot(ncfg) },
 				setup: func() (float64, float64, error) { return measureSetup(ncfg) },
-			})
-		}
-		if sp.includeSharded {
-			scfg := scaleScenario(sp.nodes, ep, false)
-			scfg.Shards = 4
-			scaleSpecs = append(scaleSpecs, spec{
-				// The 4-shard engine at the same scale: byte-identical
-				// output, so the ratio to its serial sibling is purely the
-				// intra-run sharding speedup (multi-core) or merge overhead
-				// (single-core). PERFORMANCE.md "Sharding" documents how to
-				// read these entries.
-				name: fmt.Sprintf("scale/fixed-%d-s4", sp.nodes), group: "scale",
-				nodes: sp.nodes, epochs: ep,
-				fn:    func(b *testing.B) { runScale(b, scfg) },
-				snap:  func() (map[string]int64, error) { return telemetrySnapshot(scfg) },
-				setup: func() (float64, float64, error) { return measureSetup(scfg) },
 			})
 		}
 	}

@@ -5,16 +5,13 @@
 //
 //	dirqsim [-nodes 50] [-epochs 20000] [-coverage 0.4] [-mode fixed|atc]
 //	        [-delta 5] [-rho 0.4] [-seed 1] [-hetero] [-loss 0] [-v] [-json]
-//	        [-script file.json] [-area 0] [-depth 0] [-naive] [-shards 0]
+//	        [-script file.json] [-area 0] [-depth 0] [-naive]
 //
 // Above 50 nodes the deployment area and tree depth cap auto-scale to
 // keep the paper's node density (-area / -depth override), so
 // `dirqsim -nodes 1000` runs a realistic thousand-node field out of the
 // box. -naive disables the activity-gated epoch engine — outputs are
 // byte-identical, only slower; it exists for timing comparisons.
-// -shards K steps each epoch with K parallel subtree shards (-1 picks K
-// from GOMAXPROCS; 0/1 stays serial); outputs are byte-identical to the
-// serial engine at every K, only the wall-clock changes.
 //
 // -json replaces the human-readable summary with one machine-readable
 // JSON object (the -csv counterpart on dirqexp).
@@ -96,7 +93,6 @@ func main() {
 	area := flag.Float64("area", 0, "deployment area side length (0 = 100, auto-scaled with -nodes above 50)")
 	depth := flag.Int("depth", 0, "tree depth cap (0 = 10, auto-scaled with -nodes above 50)")
 	naive := flag.Bool("naive", false, "disable activity gating (the pre-gating epoch loop; identical output, for timing comparisons)")
-	shards := flag.Int("shards", 0, "intra-run shard count (0/1 serial, -1 auto from GOMAXPROCS; identical output at every count)")
 	interval := flag.Int64("interval", cfg.QueryInterval, "epochs between queries")
 	verbose := flag.Bool("v", false, "print per-bucket update counts")
 	traceN := flag.Int("trace", 0, "print the last N protocol events")
@@ -116,7 +112,6 @@ func main() {
 		cfg.MaxDepth = *depth
 	}
 	cfg.DisableActivityGating = *naive
-	cfg.Shards = *shards
 	cfg.NumNodes = *nodes
 	cfg.Epochs = *epochs
 	cfg.Coverage = *coverage

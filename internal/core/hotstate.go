@@ -35,8 +35,7 @@ type hotState struct {
 	// cross-layer death notification.
 	deployed []bool
 
-	// lo/hi[t][i] are the per-type windows fed to
-	// Generator.ActiveSweepRange.
+	// lo/hi[t][i] are the per-type windows fed to Generator.ActiveSweep.
 	lo, hi [sensordata.NumTypes][]float64
 
 	// tickList: gated nodes whose controller still needs OnEpoch every

@@ -55,15 +55,6 @@ type Config struct {
 	// capabilities. The gated loop is proven equivalent, so this exists
 	// only as the "naive" reference for tests and scale benchmarks.
 	DisableGating bool
-	// Workers and Shards enable the intra-epoch sharded engine: the tree
-	// is partitioned into Shards subtree groups and each epoch's sweep and
-	// apply phases fan out across Workers, merging deterministically at
-	// the epoch boundary. Requires Workers non-nil and Shards > 1; modes
-	// whose per-node work shares serial state (DisableGating, a Sampler,
-	// a Trace sink) fall back to the serial loop, which is trivially
-	// byte-identical.
-	Workers *sim.Workers
-	Shards  int
 	// Telemetry optionally instruments the protocol. The zero value
 	// disables all counters (every instrument is nil-safe); nothing here
 	// reads back into protocol decisions.
@@ -83,12 +74,6 @@ type Telemetry struct {
 	TuplesSent *telemetry.Counter
 	// Retunes counts controllers that accepted a RetuneAll change.
 	Retunes *telemetry.Counter
-	// ShardActive counts worklist nodes applied per shard (index = shard).
-	// Nil or shorter-than-Shards slices disable the per-shard counts.
-	ShardActive []*telemetry.Counter
-	// ShardImbalance observes, per sharded epoch, the spread (max − min)
-	// of per-shard worklist sizes — the load-balance quality signal.
-	ShardImbalance *telemetry.Histogram
 }
 
 // DefaultConfig returns the paper-default parameters: 100 epochs per hour,
@@ -143,16 +128,6 @@ type Protocol struct {
 
 	// hot is the flat per-node state driving the activity-gated epoch loop.
 	hot hotState
-
-	// Sharded-engine state (see sharded.go). sharded is true when this
-	// run's config both requests and supports the parallel epoch loop.
-	sharded    bool
-	shardOf    []int32         // node -> owning shard (subtree partition)
-	shardPools []updateMsgPool // per-shard Update Message pools
-	sweepFrom  []int           // per-range sweep bounds (contiguous IDs)
-	sweepTo    []int
-	sweepDst   [][]int32 // per-range worklist buffers
-	shardLoad  []int64   // per-epoch per-shard active counts (scratch)
 }
 
 // New wires a Protocol over an existing engine, MAC, tree and dataset.
@@ -234,30 +209,6 @@ func New(engine *sim.Engine, mac *lmac.MAC, channel *radio.Channel,
 			p.gen.MarkWindowDirty(topology.NodeID(i))
 		}
 	}
-	// Sharded-engine wiring: subtree partition, per-shard message pools,
-	// contiguous sweep ranges and the MAC's staged dirty-merge buffers.
-	// Modes whose per-node work shares serial state keep the serial loop
-	// (see Config.Workers); their outputs are the reference either way.
-	p.sharded = cfg.Shards > 1 && cfg.Workers != nil &&
-		!cfg.DisableGating && cfg.Sampler == nil && cfg.Trace == nil
-	if p.sharded {
-		k := cfg.Shards
-		n := len(p.nodes)
-		p.shardOf = topology.PartitionSubtrees(tree, n, k)
-		p.shardPools = make([]updateMsgPool, k)
-		for i := range p.nodes {
-			p.nodes[i].msgPool = &p.shardPools[p.shardOf[i]]
-		}
-		p.sweepFrom = make([]int, k)
-		p.sweepTo = make([]int, k)
-		p.sweepDst = make([][]int32, k)
-		for r := 0; r < k; r++ {
-			p.sweepFrom[r] = r * n / k
-			p.sweepTo[r] = (r + 1) * n / k
-		}
-		p.shardLoad = make([]int64, k)
-		mac.ConfigureSharding(p.shardOf, k)
-	}
 	// MAC wiring: deliveries and cross-layer notifications.
 	for i := range p.nodes {
 		mac.Listen(topology.NodeID(i), p.nodes[i].HandleMessage)
@@ -321,7 +272,7 @@ func (p *Protocol) Start() {
 // The data generator must have been advanced (or be at) the current epoch.
 //
 // The loop is activity-gated: a conservative sweep (see
-// sensordata.Generator.ActiveSweepRange) builds the epoch's worklist of
+// sensordata.Generator.ActiveSweep) builds the epoch's worklist of
 // nodes whose readings could possibly escape their hysteresis window;
 // everyone else is provably unobservable this epoch — no field evaluation,
 // no hysteresis check, no update decision — so per-epoch cost tracks
@@ -344,27 +295,30 @@ func (p *Protocol) RunEpoch() {
 		p.emitEstimateIfDue(now)
 		return
 	}
-	if p.sharded {
-		p.runEpochSharded(now)
-		return
-	}
-
 	// The worklist is ascending, so processing order — and with it trace
 	// order and each node's MAC queue content — matches the classic full
 	// sweep exactly.
-	h.active = p.gen.ActiveSweepRange(&h.lo, &h.hi, h.mask, 0, len(p.nodes), h.active[:0])
+	h.active = p.gen.ActiveSweep(&h.lo, &h.hi, h.mask, h.active[:0])
 	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(h.active)))
 	p.cfg.Telemetry.ActiveNodes.Add(int64(len(h.active)))
 	for _, ai := range h.active {
 		p.applyActive(int(ai))
 	}
-	p.tickAndEstimate(now)
+	// The epoch clocks of gated controllers that still count epochs (the
+	// static-index freeze schedule) keep ticking even on quiet epochs.
+	for _, ti := range h.tickList {
+		i := int(ti)
+		if !p.channel.Alive(topology.NodeID(i)) || !h.deployed[i] {
+			continue
+		}
+		p.nodes[i].TickEpoch()
+	}
+	p.emitEstimateIfDue(now)
 }
 
-// applyActive is one worklist node's epoch step, shared by the serial and
-// sharded loops: a gated node reads and re-arms only the types the sweep
-// flagged, an ungated node takes the classic per-node step. Dead and
-// undeployed nodes are skipped.
+// applyActive is one worklist node's epoch step: a gated node reads and
+// re-arms only the types the sweep flagged, an ungated node takes the
+// classic per-node step. Dead and undeployed nodes are skipped.
 func (p *Protocol) applyActive(i int) {
 	h := &p.hot
 	id := topology.NodeID(i)
@@ -384,23 +338,7 @@ func (p *Protocol) applyActive(i int) {
 		node.OnReading(t, p.gen.Value(id, t))
 		p.refreshWindow(i, t)
 	}
-	// The controller tick, if any, happens via tickList in tickAndEstimate.
-}
-
-// tickAndEstimate is the serial tail of a gated epoch: the epoch clocks of
-// gated controllers that still count epochs (the static-index freeze
-// schedule) keep ticking even on quiet epochs, then the root emits its
-// hourly estimate if one is due.
-func (p *Protocol) tickAndEstimate(now sim.Time) {
-	h := &p.hot
-	for _, ti := range h.tickList {
-		i := int(ti)
-		if !p.channel.Alive(topology.NodeID(i)) || !h.deployed[i] {
-			continue
-		}
-		p.nodes[i].TickEpoch()
-	}
-	p.emitEstimateIfDue(now)
+	// The controller tick, if any, happens via tickList in RunEpoch.
 }
 
 // emitEstimateIfDue emits the root's estimate on hour boundaries.
@@ -557,11 +495,7 @@ func (p *Protocol) JoinNode(id topology.NodeID, mounted sensordata.TypeSet) erro
 	p.mounted[id] = mounted
 	p.nodes[id] = NewNode(id, mounted, p.cfg.Controllers(id), p.mac, p)
 	p.nodes[id].SetTrace(p.cfg.Trace)
-	if p.sharded {
-		p.nodes[id].msgPool = &p.shardPools[p.shardOf[id]]
-	} else {
-		p.nodes[id].msgPool = &p.updPool
-	}
+	p.nodes[id].msgPool = &p.updPool
 	p.mac.Listen(id, p.nodes[id].HandleMessage)
 	p.mac.Join(id)
 	delete(p.deadSeen, id)

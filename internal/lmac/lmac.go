@@ -105,16 +105,6 @@ type MAC struct {
 	inFrame        bool
 	framePos       int32
 
-	// Sharded-apply staging. While staging, each shard's first-dirty
-	// events go to its own staged list (shard-local, so concurrent
-	// markDirty never touches a shared slice); EndStaging folds the lists
-	// into dirtyNext in shard order. Quiet frames drain dirtyNext through
-	// a position min-heap and full frames ignore it, so dirtyNext
-	// membership — not order — is what matters, and the fold is exact.
-	staging bool
-	assign  []int32   // node -> shard (set by ConfigureSharding)
-	staged  [][]int32 // per-shard pending dirty positions
-
 	receivers []func(from topology.NodeID, msg any)
 	onDead    func(at topology.NodeID, dead topology.NodeID)
 	onNew     func(at topology.NodeID, fresh topology.NodeID)
@@ -136,9 +126,6 @@ type Telemetry struct {
 	FramesSilent *telemetry.Counter
 	// MessagesFlushed counts queued data messages handed to the channel.
 	MessagesFlushed *telemetry.Counter
-	// StagedMerged counts dirty-list entries folded from per-shard
-	// staging buffers into the shared dirty list at EndStaging.
-	StagedMerged *telemetry.Counter
 }
 
 // SetTelemetry binds (or, with the zero value, unbinds) the MAC's
@@ -270,52 +257,11 @@ func (m *MAC) markDirty(id topology.NodeID) {
 	}
 	m.inDirty[id] = true
 	pos := m.orderPos[id]
-	if m.staging {
-		// Parallel apply: only the shard that owns id queues from it, so
-		// inDirty[id] and the shard's staged list are touched by exactly
-		// one goroutine. (inFrame is never true here — frames are serial.)
-		m.staged[m.assign[id]] = append(m.staged[m.assign[id]], pos)
-		return
-	}
 	if m.inFrame && pos > m.framePos {
 		m.dirtyPush(pos)
 	} else {
 		m.dirtyNext = append(m.dirtyNext, pos)
 	}
-}
-
-// ConfigureSharding installs the node→shard assignment the staged-merge
-// path needs. Call once, before the first BeginStaging.
-func (m *MAC) ConfigureSharding(assign []int32, shards int) {
-	if len(assign) != len(m.nodes) {
-		panic(fmt.Sprintf("lmac: shard assignment covers %d of %d nodes", len(assign), len(m.nodes)))
-	}
-	m.assign = assign
-	m.staged = make([][]int32, shards)
-}
-
-// BeginStaging redirects markDirty into per-shard staging buffers for the
-// duration of a parallel apply phase. Requires ConfigureSharding.
-func (m *MAC) BeginStaging() {
-	if m.staged == nil {
-		panic("lmac: BeginStaging without ConfigureSharding")
-	}
-	m.staging = true
-}
-
-// EndStaging folds the per-shard staging buffers into the shared dirty
-// list, in shard order, and re-enables direct marking. Quiet frames pop
-// dirty positions through a min-heap, so the fold order never reaches
-// the wire — only membership does, and that matches the serial run.
-func (m *MAC) EndStaging() {
-	m.staging = false
-	merged := int64(0)
-	for s := range m.staged {
-		m.dirtyNext = append(m.dirtyNext, m.staged[s]...)
-		merged += int64(len(m.staged[s]))
-		m.staged[s] = m.staged[s][:0]
-	}
-	m.tel.StagedMerged.Add(merged)
 }
 
 // dirtyPush adds a frame position to the current frame's min-heap.
@@ -464,12 +410,6 @@ func (m *MAC) Broadcast(from topology.NodeID, class radio.Class, msg any) {
 func (m *MAC) Multicast(from topology.NodeID, targets []topology.NodeID, class radio.Class, msg any) {
 	if len(targets) == 0 {
 		return
-	}
-	if m.staging {
-		// The address-list pool is shared MAC state; nothing on the
-		// parallel apply path multicasts (updates are parent unicasts),
-		// so trip loudly rather than race quietly.
-		panic(fmt.Sprintf("lmac: multicast from %d during staged (parallel) apply", from))
 	}
 	st := &m.nodes[from]
 	st.queue = append(st.queue, queuedMsg{

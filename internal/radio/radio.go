@@ -127,7 +127,6 @@ type Channel struct {
 	lossProb    float64
 	lossRNG     *sim.RNG
 	aliveChange func(id topology.NodeID, alive bool)
-	frozen      bool
 	tel         Telemetry
 }
 
@@ -199,22 +198,6 @@ func (ch *Channel) OnAliveChange(fn func(id topology.NodeID, alive bool)) {
 // Alive reports whether the node is powered.
 func (ch *Channel) Alive(id topology.NodeID) bool { return ch.alive[id] }
 
-// Freeze puts the channel in a no-transmit state: any Broadcast,
-// Multicast or Unicast panics until Unfreeze. The sharded epoch engine
-// freezes the channel across its parallel apply phase as an executable
-// proof that the phase only *queues* traffic at the MAC (shared loss-RNG
-// and meter order would silently diverge if anything transmitted).
-func (ch *Channel) Freeze() { ch.frozen = true }
-
-// Unfreeze re-enables transmission after Freeze.
-func (ch *Channel) Unfreeze() { ch.frozen = false }
-
-func (ch *Channel) checkFrozen(kind string, from topology.NodeID) {
-	if ch.frozen {
-		panic(fmt.Sprintf("radio: %s from %d on a frozen channel (transmit during parallel apply)", kind, from))
-	}
-}
-
 // Graph exposes the underlying connectivity graph.
 func (ch *Channel) Graph() *topology.Graph { return ch.graph }
 
@@ -234,7 +217,6 @@ func (ch *Channel) dropped() bool {
 // broadcast, as §5.1 specifies) and each hearing neighbor one rx unit.
 // It returns the number of nodes that received the message.
 func (ch *Channel) Broadcast(from topology.NodeID, class Class, msg any) int {
-	ch.checkFrozen("broadcast", from)
 	if !ch.alive[from] {
 		return 0
 	}
@@ -265,7 +247,6 @@ func (ch *Channel) Broadcast(from topology.NodeID, class Class, msg any) int {
 // pays one transmission regardless of how many children it addresses, and
 // each addressed child pays one reception.
 func (ch *Channel) Multicast(from topology.NodeID, targets []topology.NodeID, class Class, msg any) int {
-	ch.checkFrozen("multicast", from)
 	if !ch.alive[from] {
 		return 0
 	}
@@ -298,7 +279,6 @@ func (ch *Channel) Multicast(from topology.NodeID, targets []topology.NodeID, cl
 // costs one tx and, on successful delivery, one rx unit. Reports whether
 // the message was delivered.
 func (ch *Channel) Unicast(from, to topology.NodeID, class Class, msg any) bool {
-	ch.checkFrozen("unicast", from)
 	if !ch.alive[from] {
 		return false
 	}

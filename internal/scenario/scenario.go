@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/atc"
 	"repro/internal/core"
@@ -109,17 +108,6 @@ type Config struct {
 	// equivalence is testable and so the scale benchmarks can record the
 	// ungated cost for comparison.
 	DisableActivityGating bool
-
-	// Shards selects the intra-run parallel epoch engine: the routing tree
-	// is partitioned into this many subtree shards whose per-epoch sweep
-	// and apply phases run concurrently, merging deterministically at the
-	// epoch boundary. Sharded runs are byte-identical to serial ones in
-	// every mode (sharded_test.go and the sharded-vs-serial fuzz oracle
-	// enforce this); modes whose per-node work shares serial state (naive
-	// loop, predictive sampling, tracing) silently keep the serial loop.
-	// 0 or 1 means serial; -1 auto-sizes to min(GOMAXPROCS, 8), staying
-	// serial below 512 nodes where fan-out overhead outweighs the win.
-	Shards int
 
 	// EnergyCapacity, when positive, attaches a battery of that many units
 	// to every non-root node (energy.DefaultModel proportions). Nodes that
@@ -267,9 +255,6 @@ func (c Config) Validate() error {
 	if c.PacketLoss < 0 || c.PacketLoss >= 1 {
 		return fmt.Errorf("scenario: PacketLoss %v outside [0,1)", c.PacketLoss)
 	}
-	if c.Shards < -1 {
-		return fmt.Errorf("scenario: Shards %d < -1 (use -1 for auto, 0/1 for serial, >=2 for sharded)", c.Shards)
-	}
 	if c.Script != nil && !c.DisableWorkload {
 		return fmt.Errorf("scenario: Script drives the query workload itself; set DisableWorkload (script.Run does)")
 	}
@@ -374,26 +359,6 @@ func Build(cfg Config) (*Runner, error) {
 	return BuildWithEngine(cfg, nil)
 }
 
-// resolveShards maps Config.Shards onto an effective shard count: -1
-// auto-sizes to min(GOMAXPROCS, 8) but stays serial below 512 nodes,
-// where the per-epoch fork-join overhead outweighs the parallel win.
-func resolveShards(cfg Config) int {
-	s := cfg.Shards
-	if s == -1 {
-		if cfg.NumNodes < 512 {
-			return 1
-		}
-		s = runtime.GOMAXPROCS(0)
-		if s > 8 {
-			s = 8
-		}
-	}
-	if s < 1 {
-		return 1
-	}
-	return s
-}
-
 // BuildWithEngine is Build on a caller-supplied event engine, which is
 // Reset before use: a finished run's engine can host the next run without
 // reallocating its queue storage (the experiment sweeps and serving
@@ -462,13 +427,6 @@ func BuildWithEngine(cfg Config, engine *sim.Engine) (*Runner, error) {
 		MaxDepth:      cfg.MaxDepth,
 		DisableGating: cfg.DisableActivityGating,
 	}
-	shards := resolveShards(cfg)
-	if shards > 1 {
-		workers := sim.NewWorkers(shards)
-		gen.SetWorkers(workers)
-		pcfg.Workers = workers
-		pcfg.Shards = shards
-	}
 	if cfg.Telemetry != nil {
 		// Central wiring point for every layer's instruments: the metric
 		// name inventory lives here (and is documented in the README).
@@ -491,7 +449,6 @@ func BuildWithEngine(cfg Config, engine *sim.Engine) (*Runner, error) {
 			FramesQuiet:     reg.Counter("dirq_lmac_frames_total", "TDMA frames by kind.", telemetry.Label{Key: "kind", Value: "quiet"}),
 			FramesSilent:    reg.Counter("dirq_lmac_frames_total", "TDMA frames by kind.", telemetry.Label{Key: "kind", Value: "silent"}),
 			MessagesFlushed: reg.Counter("dirq_lmac_messages_flushed_total", "Queued data messages handed to the channel."),
-			StagedMerged:    reg.Counter("dirq_lmac_staged_dirty_merged_total", "Dirty-list entries folded from per-shard staging buffers."),
 		})
 		gen.SetTelemetry(sensordata.Telemetry{
 			Evals:        reg.Counter("dirq_field_evals_total", "Per-(node,type) field evaluations."),
@@ -504,21 +461,6 @@ func BuildWithEngine(cfg Config, engine *sim.Engine) (*Runner, error) {
 			ActiveSetSize: reg.Histogram("dirq_core_active_set_size", "Per-epoch worklist size.", telemetry.ExponentialBuckets(1, 2, 14)),
 			TuplesSent:    reg.Counter("dirq_core_tuples_sent_total", "Update Messages transmitted."),
 			Retunes:       reg.Counter("dirq_core_retunes_total", "Controllers accepting a RetuneAll change."),
-		}
-		if shards > 1 {
-			// Shard-balance instruments. Every quantity derives from the
-			// deterministic worklist — never from goroutine timing — so
-			// instrumented traces stay byte-reproducible across runs.
-			sh := make([]*telemetry.Counter, shards)
-			for s := range sh {
-				sh[s] = reg.Counter("dirq_core_shard_active_nodes_total",
-					"Worklist nodes applied per shard.",
-					telemetry.Label{Key: "shard", Value: fmt.Sprintf("s%d", s)})
-			}
-			pcfg.Telemetry.ShardActive = sh
-			pcfg.Telemetry.ShardImbalance = reg.Histogram("dirq_core_shard_imbalance",
-				"Per-epoch spread (max-min) of per-shard worklist sizes.",
-				telemetry.ExponentialBuckets(1, 2, 12))
 		}
 	}
 	var gate *sampling.Gate

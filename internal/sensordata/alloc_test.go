@@ -31,19 +31,19 @@ func TestStepSweepValueAllocFree(t *testing.T) {
 	// Warm up lazy state and the sweep scratch.
 	for e := 0; e < 3; e++ {
 		g.Step()
-		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
+		dst = g.ActiveSweep(&lo, &hi, mask, dst[:0])
 		g.Value(0, Temperature)
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
 		g.Step()
-		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
+		dst = g.ActiveSweep(&lo, &hi, mask, dst[:0])
 		for i := 0; i < 8; i++ {
 			g.Value(topology.NodeID(i*17%len(pos)), Humidity)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Step+ActiveSweepRange+Value allocate %.1f objects per epoch, want 0", allocs)
+		t.Fatalf("Step+ActiveSweep+Value allocate %.1f objects per epoch, want 0", allocs)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestQuiescentWindowZeroEvaluations(t *testing.T) {
 	start := g.Evals()
 	for epoch := 0; epoch < 500; epoch++ {
 		g.Step()
-		if act := g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0]); len(act) != 0 {
+		if act := g.ActiveSweep(&lo, &hi, mask, dst[:0]); len(act) != 0 {
 			t.Fatalf("epoch %d: static field flagged %d active nodes (first %d, mask %04b)",
 				epoch, len(act), act[0], mask[act[0]])
 		}
@@ -120,7 +120,7 @@ func TestSweepNeverLies(t *testing.T) {
 	}
 	for epoch := 1; epoch <= 400; epoch++ {
 		g.Step()
-		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
+		dst = g.ActiveSweep(&lo, &hi, mask, dst[:0])
 		clear(active)
 		for _, i := range dst {
 			active[i] = mask[i]

@@ -7,7 +7,7 @@ import (
 	"repro/internal/topology"
 )
 
-// This file implements the escape-time calendar that makes ActiveSweepRange
+// This file implements the escape-time calendar that makes ActiveSweep
 // O(active + due) per epoch instead of O(N·types).
 //
 // The idea: every refutation already computes a conservative bracket
@@ -228,8 +228,7 @@ func (g *Generator) escDueNow(i int, bit uint8) bool {
 // routed into calendar buckets (or kept due) per the thresholds the exams
 // recorded, dirtied nodes are forced due, and every bucket whose deadline
 // the motion accumulator has passed is drained. Runs once per epoch — the
-// first sweep (or PrepareConcurrentReads) triggers it; concurrent
-// ActiveSweepRange callers only read.
+// first sweep triggers it.
 func (g *Generator) escDrain() {
 	if g.escEpoch == g.epoch {
 		return

@@ -3,8 +3,6 @@ package sensordata
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -177,7 +175,7 @@ func (f *typeField) day(epoch int64) float64 {
 // positions, per-node AR(1) noise — consuming exactly the same RNG draws
 // as always, so determinism is untouched) while the expensive per-node
 // field evaluation happens only when a value is actually read. Together
-// with ActiveSweepRange this makes a quiescent network's per-epoch cost
+// with ActiveSweep this makes a quiescent network's per-epoch cost
 // independent of the plume math: nodes whose reading provably cannot have
 // left their hysteresis window are never evaluated at all.
 type Generator struct {
@@ -190,11 +188,7 @@ type Generator struct {
 	stamp     []int64   // epoch values[i][t] was evaluated at
 	snapPlume []float64 // plume-sum component recorded at that evaluation
 	snapCum   []float64 // cumBound at that evaluation; -Inf = no usable snapshot
-	evals     uint64    // total per-(node, type) field evaluations (atomic)
-
-	// workers, when set, parallelizes Step across the (RNG-independent)
-	// per-type field streams. Nil means serial.
-	workers *sim.Workers
+	evals     uint64    // total per-(node, type) field evaluations
 
 	// Escape-calendar state (see escape.go). nextT[t*N+i] is the escA
 	// threshold at which (node i, type t) must be re-examined: NaN = due
@@ -222,10 +216,10 @@ type Telemetry struct {
 	// Evals counts per-(node, type) field evaluations — the expensive
 	// plume math the lazy layer tries to avoid.
 	Evals *telemetry.Counter
-	// SweepHits counts (node, type) pairs ActiveSweepRange could NOT
+	// SweepHits counts (node, type) pairs ActiveSweep could NOT
 	// prove quiet.
 	SweepHits *telemetry.Counter
-	// SweepRefutes counts (node, type) pairs ActiveSweepRange examined and
+	// SweepRefutes counts (node, type) pairs ActiveSweep examined and
 	// proved quiet. With the escape calendar, pairs whose deadline has not
 	// arrived are skipped without being examined or counted, so on a
 	// quiescent epoch this stays O(active set), not O(N).
@@ -235,12 +229,6 @@ type Telemetry struct {
 // SetTelemetry binds (or, with the zero value, unbinds) the generator's
 // instruments.
 func (g *Generator) SetTelemetry(t Telemetry) { g.tel = t }
-
-// SetWorkers binds a fork-join pool used to advance the per-type field
-// streams concurrently in Step. Each type owns an independent seed-derived
-// RNG stream, so type-parallel stepping consumes exactly the draws the
-// serial order does — byte-for-byte identical state. Nil reverts to serial.
-func (g *Generator) SetWorkers(w *sim.Workers) { g.workers = w }
 
 // NewGenerator builds a generator for the given node positions. The area
 // bounds are inferred from the positions. The rng should be a dedicated
@@ -406,7 +394,7 @@ func (g *Generator) Values(t Type) []float64 {
 // Evals returns the total number of per-(node, type) field evaluations
 // performed so far — the work quiescence gating exists to avoid. Tests use
 // it to prove that quiet windows cost nothing.
-func (g *Generator) Evals() uint64 { return atomic.LoadUint64(&g.evals) }
+func (g *Generator) Evals() uint64 { return g.evals }
 
 // maxPlumeSlope is the magnitude of a unit-amplitude Gaussian's steepest
 // slope, attained one sigma from the centre: exp(-1/2)/sigma.
@@ -416,23 +404,16 @@ const maxPlumeSlope = 0.6065306597126334
 // phase advances, and per-node AR(1) noise evolves. Values are NOT
 // recomputed here; each type's cumulative plume-motion bound grows by how
 // much this epoch's drift can possibly have changed any node's plume sum,
-// which is what lets ActiveSweepRange refute hysteresis escapes without
+// which is what lets ActiveSweep refute hysteresis escapes without
 // evaluating the field.
 func (g *Generator) Step() {
 	g.epoch++
-	if g.workers.Count() > 1 {
-		// Each type's state evolves from its own RNG stream and touches
-		// only its own field, so type-parallel stepping is exact.
-		g.workers.Run(int(NumTypes), func(t int) { g.stepType(Type(t)) })
-		return
-	}
 	for _, t := range AllTypes() {
 		g.stepType(t)
 	}
 }
 
-// stepType advances one type's field state by one epoch — the body of
-// Step, factored out so the per-type streams can run concurrently.
+// stepType advances one type's field state by one epoch.
 func (g *Generator) stepType(t Type) {
 	f := g.fields[t]
 	p := f.params
@@ -517,7 +498,7 @@ func (g *Generator) eval(i int, t Type) {
 	}
 	g.values[i][t] = v
 	g.stamp[k] = g.epoch
-	atomic.AddUint64(&g.evals, 1)
+	g.evals++
 	g.tel.Evals.Inc()
 }
 
@@ -531,26 +512,11 @@ func (g *Generator) compute() {
 	}
 }
 
-// PrepareConcurrentReads warms every mutable read-path cache (today just
-// the per-type diurnal term) so that Value, eval and ActiveSweepRange can
-// run concurrently for the current epoch without racing on cache fills.
-// Call it once per epoch, after Step, before fanning readers out.
-func (g *Generator) PrepareConcurrentReads() {
-	for _, t := range AllTypes() {
-		g.fields[t].day(g.epoch)
-	}
-	// Resolve this epoch's due set serially so concurrent
-	// ActiveSweepRange callers only read the calendar.
-	g.escDrain()
-}
-
-// ActiveSweepRange finds the nodes in [from, to) whose current-epoch
-// reading for some type t cannot be *proven* to lie inside the caller's
-// per-(type, node) window [lo[t][i], hi[t][i]] — for the DirQ protocol,
-// the node's own hysteresis tuple. It writes each such node's active-type
-// bitmask into mask[i] and appends its ID to dst in ascending order. The
-// serial epoch sweeps [0, N) in one call; the sharded epoch sweeps
-// contiguous ranges concurrently and concatenates the results.
+// ActiveSweep finds the nodes whose current-epoch reading for some type t
+// cannot be *proven* to lie inside the caller's per-(type, node) window
+// [lo[t][i], hi[t][i]] — for the DirQ protocol, the node's own hysteresis
+// tuple. It writes each such node's active-type bitmask into mask[i] and
+// appends its ID to dst in ascending order.
 //
 // The proof is conservative and O(1) per (node, type): the diurnal, noise
 // and bias terms are exact (the generator evolves them every epoch
@@ -566,26 +532,19 @@ func (g *Generator) PrepareConcurrentReads() {
 // The sweep consumes the escape calendar (see escape.go): only the
 // (node, type) pairs whose re-examination deadline has arrived are
 // examined, so the per-epoch cost is O(active + due). The walk is
-// type-major over the range's slice of the ascending due set, and every
-// write (mask, nextT) is node-local, so concurrent disjoint ranges do not
-// race. mask is zeroed for every due node in the range; entries of nodes
-// that were not due are left untouched and carry no meaning. Telemetry:
-// per-type hits and examined-but-quiet refutes over the range are added
-// to the (atomic) counters.
+// type-major over the ascending due set. mask is zeroed for every due
+// node; entries of nodes that were not due are left untouched and carry
+// no meaning. Telemetry: per-type hits and examined-but-quiet refutes are
+// added to the counters.
 //
-// Concurrent ranges require PrepareConcurrentReads for the current epoch;
-// it also resolves the epoch's due set, which the ranges only read. The
-// calendar imposes a window-stability contract: between sweeps, callers
+// The calendar imposes a window-stability contract: between sweeps, callers
 // may rewrite windows only for nodes the previous sweep reported active
 // (the usual sweep→sample→refresh cycle), or must announce the rewrite
 // with MarkWindowDirty / InvalidateWindows.
-func (g *Generator) ActiveSweepRange(lo, hi *[NumTypes][]float64, mask []uint8, from, to int, dst []int32) []int32 {
+func (g *Generator) ActiveSweep(lo, hi *[NumTypes][]float64, mask []uint8, dst []int32) []int32 {
 	g.escDrain()
 	n := len(g.positions)
 	due := g.dueNodes
-	p0 := sort.Search(len(due), func(k int) bool { return int(due[k]) >= from })
-	due = due[p0:]
-	due = due[:sort.Search(len(due), func(k int) bool { return int(due[k]) >= to })]
 	dueMask := g.dueMask
 	for _, id := range due {
 		mask[id] = 0

@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkSweep times one epoch of the activity sweep — the escape
-// calendar's drain plus ActiveSweepRange over [0, N) — on a static field,
-// so the numbers isolate the sweep from field stepping:
+// calendar's drain plus ActiveSweep — on a static field, so the numbers
+// isolate the sweep from field stepping:
 //
 //   - quiescent-100k: every pair sits in a window around its reading, so
 //     after the first sweep nothing is due and an epoch costs the drain's
@@ -44,14 +44,14 @@ func benchSweep(b *testing.B, n int, halfActive bool) {
 	}
 	mask := make([]uint8, n)
 	// The first sweep examines every pair and parks the quiet ones.
-	dst := g.ActiveSweepRange(&lo, &hi, mask, 0, n, make([]int32, 0, n))
+	dst := g.ActiveSweep(&lo, &hi, mask, make([]int32, 0, n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		// With every dynamic zeroed, Step would change nothing the sweep
 		// reads but the epoch, so only the epoch advances.
 		g.epoch++
-		dst = g.ActiveSweepRange(&lo, &hi, mask, 0, n, dst[:0])
+		dst = g.ActiveSweep(&lo, &hi, mask, dst[:0])
 	}
 	b.ReportMetric(float64(len(dst)), "active/op")
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -13,7 +12,7 @@ import (
 )
 
 // legacySweep is a frozen copy of the epoch sweep as it was before
-// ActiveSweepRange became the only sweep: the drain built the due set
+// ActiveSweep became one type-major pass: the drain built the due set
 // with a per-node epoch stamp and sorted it, then the protocol ran one
 // per-type sweep for each type, deduplicated the per-type results with a
 // stamp array and sorted the union. It drives the calendar state of its
@@ -237,7 +236,6 @@ type sweepSubject struct {
 	g    *Generator
 	tel  Telemetry
 	mask []uint8
-	dst  [][]int32 // per-range worklists
 }
 
 func newSweepSubject(name string, pos []topology.Position, seed uint64) *sweepSubject {
@@ -251,34 +249,8 @@ func newSweepSubject(name string, pos []topology.Position, seed uint64) *sweepSu
 	return s
 }
 
-// sweepRanges sweeps [0, N) as the given contiguous ranges, concurrently
-// (after PrepareConcurrentReads, as the sharded epoch does), and returns
-// the concatenated worklist.
-func (s *sweepSubject) sweepRanges(lo, hi *[NumTypes][]float64, cuts []int) []int32 {
-	k := len(cuts) - 1
-	for len(s.dst) < k {
-		s.dst = append(s.dst, nil)
-	}
-	s.g.PrepareConcurrentReads()
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			s.dst[r] = s.g.ActiveSweepRange(lo, hi, s.mask, cuts[r], cuts[r+1], s.dst[r][:0])
-		}(r)
-	}
-	wg.Wait()
-	var out []int32
-	for r := 0; r < k; r++ {
-		out = append(out, s.dst[r]...)
-	}
-	return out
-}
-
-// TestSweepMatchesLegacy runs the frozen four-sweep path, one
-// ActiveSweepRange over [0, N) and concurrent random sub-ranges side by
-// side on three generators of the same seed. Windows are random —
+// TestSweepMatchesLegacy runs the frozen four-sweep path and ActiveSweep
+// side by side on two generators of the same seed. Windows are random —
 // hysteresis-style windows of random width around fresh readings, both
 // sentinels, dirtied rewrites of quiet nodes, bulk rewrites announced by
 // InvalidateWindows — and field regime shifts interleave. Every epoch the
@@ -302,9 +274,8 @@ func TestSweepMatchesLegacy(t *testing.T) {
 func checkSweepAgainstLegacy(t *testing.T, n int, seed uint64, epochs int) {
 	pos := refPositions(n, seed)
 	ref := newSweepSubject("legacy", pos, seed)
-	one := newSweepSubject("range(0,N)", pos, seed)
-	split := newSweepSubject("sub-ranges", pos, seed)
-	subjects := []*sweepSubject{ref, one, split}
+	one := newSweepSubject("sweep", pos, seed)
+	subjects := []*sweepSubject{ref, one}
 	legacy := newLegacySweep(ref.g)
 	rng := sim.NewRNG(seed).Stream("windows")
 	inf := math.Inf(1)
@@ -347,57 +318,45 @@ func checkSweepAgainstLegacy(t *testing.T, n int, seed uint64, epochs int) {
 			}
 		}
 		want = append(want[:0], legacy.sweep(&lo, &hi)...)
-		gotOne := one.g.ActiveSweepRange(&lo, &hi, one.mask, 0, n, nil)
-		cuts := []int{0}
-		for k := rng.Intn(5); k > 0; k-- {
-			cuts = append(cuts, rng.Intn(n+1))
-		}
-		cuts = append(cuts, n)
-		slices.Sort(cuts)
-		gotSplit := split.sweepRanges(&lo, &hi, cuts)
+		got := one.g.ActiveSweep(&lo, &hi, one.mask, nil)
 
-		for _, c := range []struct {
-			s   *sweepSubject
-			got []int32
-		}{{one, gotOne}, {split, gotSplit}} {
-			s, g := c.s, c.s.g
-			if !slices.Equal(c.got, want) {
-				t.Fatalf("epoch %d %s: active %v, want %v", epoch, s.name, c.got, want)
+		g := one.g
+		if !slices.Equal(got, want) {
+			t.Fatalf("epoch %d %s: active %v, want %v", epoch, one.name, got, want)
+		}
+		for _, i := range want {
+			if one.mask[i] != legacy.mask[i] {
+				t.Fatalf("epoch %d %s: node %d mask %04b, want %04b", epoch, one.name, i, one.mask[i], legacy.mask[i])
 			}
-			for _, i := range want {
-				if s.mask[i] != legacy.mask[i] {
-					t.Fatalf("epoch %d %s: node %d mask %04b, want %04b", epoch, s.name, i, s.mask[i], legacy.mask[i])
-				}
+		}
+		for k := range g.nextT {
+			if math.Float64bits(g.nextT[k]) != math.Float64bits(ref.g.nextT[k]) {
+				t.Fatalf("epoch %d %s: nextT[%d] = %v, want %v", epoch, one.name, k, g.nextT[k], ref.g.nextT[k])
 			}
-			for k := range g.nextT {
-				if math.Float64bits(g.nextT[k]) != math.Float64bits(ref.g.nextT[k]) {
-					t.Fatalf("epoch %d %s: nextT[%d] = %v, want %v", epoch, s.name, k, g.nextT[k], ref.g.nextT[k])
-				}
+		}
+		if !slices.Equal(g.dueNodes, ref.g.dueNodes) {
+			t.Fatalf("epoch %d %s: due set %v, want %v", epoch, one.name, g.dueNodes, ref.g.dueNodes)
+		}
+		for _, i := range g.dueNodes {
+			if g.dueMask[i] != ref.g.dueMask[i] {
+				t.Fatalf("epoch %d %s: node %d due mask %04b, want %04b", epoch, one.name, i, g.dueMask[i], ref.g.dueMask[i])
 			}
-			if !slices.Equal(g.dueNodes, ref.g.dueNodes) {
-				t.Fatalf("epoch %d %s: due set %v, want %v", epoch, s.name, g.dueNodes, ref.g.dueNodes)
+		}
+		for w, word := range g.dueBits {
+			if word != 0 {
+				t.Fatalf("epoch %d %s: dueBits[%d] = %#x after the drain, want 0", epoch, one.name, w, word)
 			}
-			for _, i := range g.dueNodes {
-				if g.dueMask[i] != ref.g.dueMask[i] {
-					t.Fatalf("epoch %d %s: node %d due mask %04b, want %04b", epoch, s.name, i, g.dueMask[i], ref.g.dueMask[i])
-				}
-			}
-			for w, word := range g.dueBits {
-				if word != 0 {
-					t.Fatalf("epoch %d %s: dueBits[%d] = %#x after the drain, want 0", epoch, s.name, w, word)
-				}
-			}
-			for _, m := range []struct {
-				what      string
-				got, want *telemetry.Counter
-			}{
-				{"evals", s.tel.Evals, ref.tel.Evals},
-				{"sweep hits", s.tel.SweepHits, ref.tel.SweepHits},
-				{"sweep refutes", s.tel.SweepRefutes, ref.tel.SweepRefutes},
-			} {
-				if m.got.Value() != m.want.Value() {
-					t.Fatalf("epoch %d %s: %s total %d, want %d", epoch, s.name, m.what, m.got.Value(), m.want.Value())
-				}
+		}
+		for _, m := range []struct {
+			what      string
+			got, want *telemetry.Counter
+		}{
+			{"evals", one.tel.Evals, ref.tel.Evals},
+			{"sweep hits", one.tel.SweepHits, ref.tel.SweepHits},
+			{"sweep refutes", one.tel.SweepRefutes, ref.tel.SweepRefutes},
+		} {
+			if m.got.Value() != m.want.Value() {
+				t.Fatalf("epoch %d %s: %s total %d, want %d", epoch, one.name, m.what, m.got.Value(), m.want.Value())
 			}
 		}
 
@@ -414,10 +373,8 @@ func checkSweepAgainstLegacy(t *testing.T, n int, seed uint64, epochs int) {
 					continue
 				}
 				v := ref.g.Value(topology.NodeID(i), ty)
-				for _, s := range subjects[1:] {
-					if got := s.g.Value(topology.NodeID(i), ty); got != v {
-						t.Fatalf("epoch %d %s: node %d %s reads %v, want %v", epoch, s.name, i, ty, got, v)
-					}
+				if got := one.g.Value(topology.NodeID(i), ty); got != v {
+					t.Fatalf("epoch %d %s: node %d %s reads %v, want %v", epoch, one.name, i, ty, got, v)
 				}
 				if rng.Bool(0.9) {
 					lo[ty][i], hi[ty][i] = randomWindow(ty, v, true)

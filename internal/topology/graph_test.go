@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -316,5 +318,57 @@ func TestRectUnionAndAround(t *testing.T) {
 	}
 	if u.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestConnectUnitDiskMatchesBruteForce pins the grid-bucket
+// implementation to the all-pairs definition across random layouts,
+// including ones with negative and offset coordinates: the grid is
+// measured from the layout's min corner, not from the origin.
+func TestConnectUnitDiskMatchesBruteForce(t *testing.T) {
+	bruteForce := func(pos []Position, r float64) *Graph {
+		g := NewGraph(pos)
+		for a := range pos {
+			for b := a + 1; b < len(pos); b++ {
+				if pos[a].Dist(pos[b]) <= r {
+					if err := g.AddEdge(NodeID(a), NodeID(b)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return g
+	}
+	check := func(name string, pos []Position, r float64) {
+		t.Helper()
+		fast := NewGraph(pos)
+		fast.ConnectUnitDisk(r)
+		if !reflect.DeepEqual(fast.adj, bruteForce(pos, r).adj) {
+			t.Fatalf("%s r=%v: grid-bucket adjacency differs from brute force", name, r)
+		}
+	}
+	// Straddles the origin; bucketing from 0 indexed cell -3 and panicked.
+	check("negative", []Position{{-30, 0}, {-10, 0}, {5, 0}, {-60, -60}, {-50, -60}}, 25)
+	layouts := []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"positive", 0, 150},
+		{"negative", -150, 0},
+		{"straddling", -75, 75},
+		{"offset", 1e4, 1e4 + 150},
+	}
+	for _, l := range layouts {
+		for _, seed := range []uint64{3, 17, 2026} {
+			rng := sim.NewRNG(seed)
+			const n = 300
+			pos := make([]Position, n)
+			for i := range pos {
+				pos[i] = Position{X: rng.Range(l.lo, l.hi), Y: rng.Range(l.lo, l.hi)}
+			}
+			for _, r := range []float64{5, 22, 80} {
+				check(fmt.Sprintf("%s seed %d", l.name, seed), pos, r)
+			}
+		}
 	}
 }
