@@ -287,7 +287,9 @@ func BenchmarkLMACFrame(b *testing.B) {
 	}
 }
 
-func BenchmarkFloodOneQuery(b *testing.B) {
+// BenchmarkRadioBroadcast: one flood-class broadcast from the root of a
+// 4-ary, depth-4 tree.
+func BenchmarkRadioBroadcast(b *testing.B) {
 	g, _, err := topology.BuildKaryTree(4, 4)
 	if err != nil {
 		b.Fatal(err)

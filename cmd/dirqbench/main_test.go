@@ -20,14 +20,10 @@ func validFile() File {
 		CPUs:       4,
 		Iterations: 3,
 		Benchmarks: []Entry{
-			{Name: "workloads/fixed", Group: "workload", NsPerOp: 1e6, Runs: 3,
-				Nodes: 50, Epochs: 20000, EpochsPerSec: 1e5, NodeEpochsPerSec: 5e6},
-			{Name: "substrate/queue", Group: "micro", NsPerOp: 120, Runs: 3},
 			{Name: "scale/fixed-1000", Group: "scale", NsPerOp: 2e9, Runs: 3,
 				Nodes: 1000, Epochs: 1000, EpochsPerSec: 500, NodeEpochsPerSec: 5e5},
-			{Name: "qps/s1-w4-c8", Group: "qps", NsPerOp: 3e5, Runs: 3,
-				Shards: 1, Clients: 8, SettleEpochs: 4,
-				QPS: 8000, P50Ms: 0.1, P99Ms: 25},
+			{Name: "scale/fixed-5000", Group: "scale", NsPerOp: 2.5e9, Runs: 3,
+				Nodes: 5000, Epochs: 1000, EpochsPerSec: 400, NodeEpochsPerSec: 2e6},
 		},
 	}
 }
@@ -54,31 +50,23 @@ func TestValidateTable(t *testing.T) {
 		{"empty name", func(f *File) { f.Benchmarks[0].Name = "" },
 			`benchmark 0: empty name`},
 		{"duplicate name", func(f *File) { f.Benchmarks[1].Name = f.Benchmarks[0].Name },
-			`benchmark 1: duplicate name "workloads/fixed"`},
-		{"unknown group", func(f *File) { f.Benchmarks[1].Group = "macro" },
-			`benchmark "substrate/queue": unknown group "macro"`},
+			`benchmark 1: duplicate name "scale/fixed-1000"`},
+		// The workload, qps and micro groups are gone; a file that still
+		// carries them is refused.
+		{"unknown group", func(f *File) { f.Benchmarks[1].Group = "workload" },
+			`benchmark "scale/fixed-5000": unknown group "workload"`},
 		{"non-positive ns/op", func(f *File) { f.Benchmarks[0].NsPerOp = 0 },
-			`benchmark "workloads/fixed": ns_per_op 0 <= 0`},
+			`benchmark "scale/fixed-1000": ns_per_op 0 <= 0`},
 		{"negative allocs", func(f *File) { f.Benchmarks[0].AllocsPerOp = -1 },
-			`benchmark "workloads/fixed": negative allocation stats`},
-		{"workload without throughput", func(f *File) { f.Benchmarks[0].EpochsPerSec = 0 },
-			`benchmark "workloads/fixed": missing throughput`},
-		{"scale without nodes", func(f *File) { f.Benchmarks[2].Nodes = 0 },
+			`benchmark "scale/fixed-1000": negative allocation stats`},
+		{"scale without throughput", func(f *File) { f.Benchmarks[0].EpochsPerSec = 0 },
+			`benchmark "scale/fixed-1000": missing throughput`},
+		{"scale without node-epochs throughput", func(f *File) { f.Benchmarks[1].NodeEpochsPerSec = 0 },
+			`benchmark "scale/fixed-5000": missing throughput`},
+		{"scale without nodes", func(f *File) { f.Benchmarks[0].Nodes = 0 },
 			`benchmark "scale/fixed-1000": scale bench without nodes/epochs`},
-		{"qps without grid coordinates", func(f *File) { f.Benchmarks[3].Clients = 0 },
-			`benchmark "qps/s1-w4-c8": qps bench without grid coordinates`},
-		{"qps without qps", func(f *File) { f.Benchmarks[3].QPS = 0 },
-			`benchmark "qps/s1-w4-c8": qps bench without qps`},
-		{"qps without percentiles", func(f *File) { f.Benchmarks[3].P99Ms = 0 },
-			`benchmark "qps/s1-w4-c8": qps bench without latency percentiles`},
-		{"qps p99 below p50", func(f *File) { f.Benchmarks[3].P99Ms = 0.05 },
-			`benchmark "qps/s1-w4-c8": p99 0.05 below p50 0.1`},
-		{"qps fields on non-qps bench", func(f *File) { f.Benchmarks[2].QPS = 100 },
-			`benchmark "scale/fixed-1000": qps fields on a scale bench`},
-		{"negative setup stats", func(f *File) { f.Benchmarks[2].SetupNsPerOp = -1 },
+		{"negative setup stats", func(f *File) { f.Benchmarks[0].SetupNsPerOp = -1 },
 			`benchmark "scale/fixed-1000": negative setup stats`},
-		{"setup fields on non-scale bench", func(f *File) { f.Benchmarks[0].BytesPerNode = 2800 },
-			`benchmark "workloads/fixed": setup fields on a workload bench`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,84 +141,30 @@ func TestCheckRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestCompareQPSGate: the -compare gate fails on a qps-floor breach, a
-// p99-ceiling breach, or a vanished qps grid point — and tolerates a
-// coordinate change as a skip so grid evolution needs only a fresh
-// baseline, not a schema change.
-func TestCompareQPSGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, f File) string {
-		t.Helper()
-		b, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := write("base", validFile())
-
-	cases := []struct {
-		name    string
-		mutate  func(*File)
-		wantSub string // substring of the compare error; "" means gate passes
-	}{
-		{"identical", func(f *File) {}, ""},
-		{"qps floor breach", func(f *File) { f.Benchmarks[3].QPS /= 2 },
-			"regressed more than 30%"},
-		{"p99 ceiling breach", func(f *File) { f.Benchmarks[3].P99Ms *= 4 },
-			"regressed more than 30%"},
-		{"p99 within absolute slack", func(f *File) { f.Benchmarks[3].P99Ms *= 2 }, ""},
-		{"qps point missing", func(f *File) { f.Benchmarks = f.Benchmarks[:3] },
-			"missing in the candidate"},
-		{"grid moved skips", func(f *File) {
-			f.Benchmarks[3].Name = "qps/s1-w8-c8"
-			f.Benchmarks[3].SettleEpochs = 8
-		}, "missing in the candidate"},
-		{"within tolerance", func(f *File) {
-			f.Benchmarks[3].QPS *= 0.8
-			f.Benchmarks[3].P99Ms *= 1.2
-		}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := validFile()
-			tc.mutate(&f)
-			cand := write("cand-"+strings.ReplaceAll(tc.name, " ", "-"), f)
-			err := compare(base, cand, 0.30, 1)
-			switch {
-			case tc.wantSub == "" && err != nil:
-				t.Fatalf("gate failed on a healthy candidate: %v", err)
-			case tc.wantSub != "" && err == nil:
-				t.Fatal("gate passed a regressed candidate")
-			case tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub):
-				t.Fatalf("gate error %q does not mention %q", err, tc.wantSub)
-			}
-		})
-	}
-}
-
-// TestCompareScaleGate: the -compare scale axes — the epochs/s floor, the
-// relative bytes-per-node ceiling (with its absolute slack for small
-// heaps), and the baseline-independent hard budget at large N, which must
-// fire even when the committed baseline predates bytes_per_node or was
-// itself over budget.
+// TestCompareScaleGate: the -compare axes. Memory gates against the
+// baseline — the relative bytes-per-node ceiling (with its absolute slack
+// for small heaps) and the hard budget at large N, which must fire even
+// when the baseline predates bytes_per_node. Speed gates on the candidate
+// alone through ratioFloors, so a uniformly slow host passes while a
+// step change inside one run fails.
 func TestCompareScaleGate(t *testing.T) {
 	dir := t.TempDir()
-	// Two scale rungs: a small one (relative axes only) and a large one
-	// (budget-eligible), both with the pr10 setup columns.
+	// The five rungs the gate reads. Index 0 is a small rung (relative
+	// memory axis only) and index 1 a budget-eligible one; the ratios
+	// read 1.67 (gating) and 0.80 (locality).
 	mkFile := func(smallBpn, largeBpn float64) File {
 		f := validFile()
+		rung := func(name string, nodes int, epochs int64, eps, bpn float64) Entry {
+			return Entry{Name: name, Group: "scale", NsPerOp: float64(epochs) * 1e9 / eps, Runs: 1,
+				Nodes: nodes, Epochs: epochs, EpochsPerSec: eps, NodeEpochsPerSec: eps * float64(nodes),
+				SetupNsPerOp: 5e6, BytesPerNode: bpn}
+		}
 		f.Benchmarks = []Entry{
-			{Name: "scale/fixed-1000", Group: "scale", NsPerOp: 2e9, Runs: 3,
-				Nodes: 1000, Epochs: 1000, EpochsPerSec: 500, NodeEpochsPerSec: 5e5,
-				SetupNsPerOp: 5e6, BytesPerNode: smallBpn},
-			{Name: "scale/fixed-25000", Group: "scale", NsPerOp: 6e9, Runs: 3,
-				Nodes: 25000, Epochs: 500, EpochsPerSec: 80, NodeEpochsPerSec: 2e6,
-				SetupNsPerOp: 1.2e9, BytesPerNode: largeBpn},
+			rung("scale/fixed-1000", 1000, 1000, 500, smallBpn),
+			rung("scale/fixed-25000", 25000, 500, 80, largeBpn),
+			rung("scale/naive-1000", 1000, 1000, 300, smallBpn),
+			rung("scale/fixed-5000", 5000, 1000, 400, largeBpn),
+			rung("scale/fixed-100000", 100000, 600, 16, largeBpn),
 		}
 		return f
 	}
@@ -246,9 +180,21 @@ func TestCompareScaleGate(t *testing.T) {
 		}
 		return path
 	}
+	drop := func(f *File, name string) {
+		kept := f.Benchmarks[:0]
+		for _, e := range f.Benchmarks {
+			if e.Name != name {
+				kept = append(kept, e)
+			}
+		}
+		f.Benchmarks = kept
+	}
 	base := write("base", mkFile(2800, 2820))
 	baseNoBpn := write("base-nobpn", mkFile(0, 0))     // pre-pr10 baseline shape
 	baseSlack := write("base-slack", mkFile(100, 100)) // tiny heaps: ratio is noise
+	noNaive := mkFile(2800, 2820)
+	drop(&noNaive, "scale/naive-1000")
+	baseNoNaive := write("base-nonaive", noNaive)
 
 	cases := []struct {
 		name    string
@@ -257,20 +203,45 @@ func TestCompareScaleGate(t *testing.T) {
 		wantSub string // substring of the compare error; "" means gate passes
 	}{
 		{"identical", base, func(f *File) {}, ""},
-		{"epochs-per-sec floor breach", base, func(f *File) { f.Benchmarks[0].EpochsPerSec = 300 },
-			"regressed"},
+		{"slow host passes", base, func(f *File) {
+			// Every rung at half speed: a slower runner, not a regression.
+			for i := range f.Benchmarks {
+				f.Benchmarks[i].NsPerOp *= 2
+				f.Benchmarks[i].EpochsPerSec /= 2
+				f.Benchmarks[i].NodeEpochsPerSec /= 2
+			}
+		}, ""},
+		{"gating off fails", base, func(f *File) {
+			f.Benchmarks[0].EpochsPerSec = f.Benchmarks[2].EpochsPerSec
+			f.Benchmarks[0].NodeEpochsPerSec = f.Benchmarks[2].NodeEpochsPerSec
+		}, "scale/fixed-1000 / scale/naive-1000 ratio 1.000 below floor"},
+		{"large-N cliff fails", base, func(f *File) {
+			f.Benchmarks[4].NodeEpochsPerSec = 0.013 * f.Benchmarks[3].NodeEpochsPerSec
+			f.Benchmarks[4].EpochsPerSec = f.Benchmarks[4].NodeEpochsPerSec / 100000
+		}, "scale/fixed-100000 / scale/fixed-5000 ratio 0.013 below floor"},
+		{"ratio rung missing", baseNoNaive, func(f *File) { drop(f, "scale/naive-1000") },
+			"scale/fixed-1000 / scale/naive-1000 ratio: rung missing in the candidate"},
+		{"baseline rung missing", base, func(f *File) { drop(f, "scale/fixed-25000") },
+			"scale/fixed-25000 missing in the candidate"},
+		{"quick candidate skips ratio floors", base, func(f *File) {
+			// -quick horizons are too short for the floors, so only the
+			// memory axes gate.
+			f.Quick = true
+			f.Benchmarks[0].NodeEpochsPerSec = f.Benchmarks[2].NodeEpochsPerSec
+		}, ""},
 		{"bytes-per-node regression breach", base, func(f *File) { f.Benchmarks[0].BytesPerNode = 4090 },
-			"regressed"},
+			"scale/fixed-1000 bytes/node"},
 		{"bytes-per-node within absolute slack", baseSlack, func(f *File) {
 			// Ratio alone would breach (2× the baseline) but the absolute
 			// delta is under the slack — small-heap jitter must not gate.
-			f.Benchmarks[0].BytesPerNode = 200
-			f.Benchmarks[1].BytesPerNode = 200
+			for i := range f.Benchmarks {
+				f.Benchmarks[i].BytesPerNode = 200
+			}
 		}, ""},
 		{"hard budget breach at large N", base, func(f *File) { f.Benchmarks[1].BytesPerNode = 4200 },
-			"regressed"},
+			"scale/fixed-25000 bytes/node+budget"},
 		{"budget fires without baseline bytes", baseNoBpn, func(f *File) { f.Benchmarks[1].BytesPerNode = 4200 },
-			"regressed"},
+			"scale/fixed-25000 budget"},
 		{"no baseline bytes, candidate under budget", baseNoBpn, func(f *File) {}, ""},
 	}
 	for _, tc := range cases {

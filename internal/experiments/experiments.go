@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // Options scale the experiments. Full() reproduces the paper's setup;
@@ -24,12 +23,6 @@ type Options struct {
 	// run derives all randomness from its own cfg.Seed, so results are
 	// bit-identical whatever the worker count.
 	Workers int
-
-	// Telemetry, when non-nil, instruments every simulation the
-	// experiments build (see scenario.Config.Telemetry). Concurrent runs
-	// share the registry safely — instrument writes are atomic — and
-	// results stay byte-identical with or without it.
-	Telemetry telemetry.Instrumenter
 
 	// sem, when non-nil, is a shared limiter on simulations in flight.
 	// RunAll installs it so that nesting (experiments in parallel, each
@@ -54,7 +47,6 @@ func (o Options) base() scenario.Config {
 	cfg.Seed = o.Seed
 	cfg.NumNodes = o.NumNodes
 	cfg.Epochs = o.Epochs
-	cfg.Telemetry = o.Telemetry
 	return cfg
 }
 

@@ -18,7 +18,7 @@ type QueryRequestWire struct {
 	Lo    *float64 `json:"lo,omitempty"`
 	Hi    *float64 `json:"hi,omitempty"`
 	// TimeoutMs bounds the server-side wait for the answer (default
-	// 30000).
+	// 30000, at most 300000).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -93,6 +93,15 @@ type errorReply struct {
 
 const defaultQueryTimeout = 30 * time.Second
 
+// maxQueryTimeout caps timeout_ms. Without a cap a large value overflows
+// time.Duration to a negative wait and the query times out at once.
+const maxQueryTimeout = 5 * time.Minute
+
+// maxQueryBody caps the POST /query body in bytes. A valid body is under
+// 200 B; the cap stops a client from streaming an unbounded body into the
+// decoder.
+const maxQueryBody = 64 << 10
+
 // overloadedRetryAfter is the Retry-After value (in seconds) sent with
 // 429 replies. A settle window is typically well under a second, so one
 // second is a conservative "the queue will have drained" hint.
@@ -121,7 +130,14 @@ func NewHandler(m *Manager, info ...ServerInfo) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		var wire QueryRequestWire
-		if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
+		body := http.MaxBytesReader(w, r.Body, maxQueryBody)
+		if err := json.NewDecoder(body).Decode(&wire); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Errorf("request body over %d bytes", maxQueryBody))
+				return
+			}
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 			return
 		}
@@ -221,6 +237,10 @@ func (wire QueryRequestWire) toRequest() (Request, time.Duration, error) {
 	req := Request{Shard: wire.Shard, Type: t, Lo: lo, Hi: hi}
 	if err := req.Validate(); err != nil {
 		return Request{}, 0, err
+	}
+	if wire.TimeoutMs > maxQueryTimeout.Milliseconds() {
+		return Request{}, 0, fmt.Errorf("timeout_ms %d over the %d ms cap",
+			wire.TimeoutMs, maxQueryTimeout.Milliseconds())
 	}
 	timeout := defaultQueryTimeout
 	if wire.TimeoutMs > 0 {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -109,5 +111,25 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := c.Query(ctx, QueryRequestWire{Shard: "nope", Type: "temperature"}); err == nil ||
 		!strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown shard: %v", err)
+	}
+
+	// timeout_ms is capped: 10^13 ms would overflow time.Duration to a
+	// negative wait and come back as an instant 504.
+	if _, err := c.Query(ctx, QueryRequestWire{Type: "temperature", TimeoutMs: 1e13}); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "over the 300000 ms cap") {
+		t.Fatalf("huge timeout_ms: %v", err)
+	}
+	if _, err := c.Query(ctx, QueryRequestWire{Type: "temperature", TimeoutMs: 300000}); err != nil {
+		t.Fatalf("timeout_ms at the cap: %v", err)
+	}
+
+	// An oversized body is refused with 413 before it is decoded in full.
+	big := `{"type":"temperature","shard":"` + strings.Repeat("x", maxQueryBody) + `"}`
+	var resp Response
+	err := c.do(ctx, http.MethodPost, "/query", []byte(big), &resp)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(se.Msg, "request body over 65536 bytes") {
+		t.Fatalf("oversized body: %v", err)
 	}
 }
