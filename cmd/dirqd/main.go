@@ -66,6 +66,26 @@ import (
 // version is stamped at link time: go build -ldflags "-X main.version=v7".
 var version = "dev"
 
+// Connection-level bounds of the HTTP server. A client gets
+// readHeaderTimeout to send its request headers, so a slow or stalled
+// one cannot hold a connection open; an idle keep-alive connection is
+// closed after idleTimeout. Request bodies are capped by the handler.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server for handler on addr with the
+// connection bounds above.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dirqd: ")
@@ -159,7 +179,7 @@ func main() {
 	}
 
 	handler := serve.NewHandler(mgr, serve.ServerInfo{Version: version, Now: time.Now})
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("%s: %d shard(s) of %d nodes (mode %s), serving on %s (metrics at /metrics)",

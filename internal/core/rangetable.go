@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -26,8 +26,8 @@ type RangeTable struct {
 	own    Tuple
 	hasOwn bool
 
-	children map[topology.NodeID]Tuple
-	childIDs []topology.NodeID // keys of children, kept sorted
+	childIDs []topology.NodeID // children with entries, sorted
+	children []Tuple           // children[i] is childIDs[i]'s tuple
 
 	lastSent Tuple
 	hasSent  bool
@@ -35,7 +35,7 @@ type RangeTable struct {
 
 // NewRangeTable returns an empty table.
 func NewRangeTable() *RangeTable {
-	return &RangeTable{children: map[topology.NodeID]Tuple{}}
+	return &RangeTable{}
 }
 
 // ObserveReading applies the hysteresis rule to a new sensor reading RAq
@@ -65,45 +65,43 @@ func (rt *RangeTable) ClearOwn() { rt.own = Tuple{}; rt.hasOwn = false }
 // SetChild stores the aggregate tuple most recently reported by a child.
 // Reports whether the stored value changed.
 func (rt *RangeTable) SetChild(id topology.NodeID, t Tuple) bool {
-	if old, ok := rt.children[id]; ok {
-		if old == t {
+	i, ok := slices.BinarySearch(rt.childIDs, id)
+	if ok {
+		if rt.children[i] == t {
 			return false
 		}
-		rt.children[id] = t
+		rt.children[i] = t
 		return true
 	}
-	rt.children[id] = t
-	i := sort.Search(len(rt.childIDs), func(i int) bool { return rt.childIDs[i] >= id })
-	rt.childIDs = append(rt.childIDs, 0)
-	copy(rt.childIDs[i+1:], rt.childIDs[i:])
-	rt.childIDs[i] = id
+	rt.childIDs = slices.Insert(rt.childIDs, i, id)
+	rt.children = slices.Insert(rt.children, i, t)
 	return true
 }
 
 // Child returns the stored tuple for a child.
 func (rt *RangeTable) Child(id topology.NodeID) (Tuple, bool) {
-	t, ok := rt.children[id]
-	return t, ok
+	if i, ok := slices.BinarySearch(rt.childIDs, id); ok {
+		return rt.children[i], true
+	}
+	return Tuple{}, false
 }
 
 // RemoveChild deletes a child's entry (dead node or withdrawn sensor type).
 // Reports whether an entry existed.
 func (rt *RangeTable) RemoveChild(id topology.NodeID) bool {
-	if _, ok := rt.children[id]; !ok {
+	i, ok := slices.BinarySearch(rt.childIDs, id)
+	if !ok {
 		return false
 	}
-	delete(rt.children, id)
-	i := sort.Search(len(rt.childIDs), func(i int) bool { return rt.childIDs[i] >= id })
-	rt.childIDs = append(rt.childIDs[:i], rt.childIDs[i+1:]...)
+	rt.childIDs = slices.Delete(rt.childIDs, i, i+1)
+	rt.children = slices.Delete(rt.children, i, i+1)
 	return true
 }
 
 // ClearChildren drops every child entry at once.
 func (rt *RangeTable) ClearChildren() {
-	for id := range rt.children {
-		delete(rt.children, id)
-	}
 	rt.childIDs = rt.childIDs[:0]
+	rt.children = rt.children[:0]
 }
 
 // Children returns the child IDs with entries, sorted. The returned slice
@@ -128,7 +126,9 @@ func (rt *RangeTable) Len() int {
 func (rt *RangeTable) Empty() bool { return rt.Len() == 0 }
 
 // Aggregate returns (min(THmin), max(THmax)) over all rows (Fig. 2); ok is
-// false when the table is empty.
+// false when the table is empty. Rows are folded own first, then children
+// in ascending ID order, so ties between ±0 and NaN rows resolve the same
+// way every run.
 func (rt *RangeTable) Aggregate() (Tuple, bool) {
 	if rt.Empty() {
 		return Tuple{}, false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -281,5 +282,139 @@ func TestAbs(t *testing.T) {
 	}
 	if !math.IsInf(abs(math.Inf(-1)), 1) {
 		t.Fatal("abs(-inf)")
+	}
+}
+
+// TestRangeTableMatchesMapModel runs random child-set edits against a plain
+// map model: Children (sorted), Child, Len and Aggregate must agree after
+// every step. Tuples sometimes carry ±0 and NaN, so the aggregate's fold
+// order — own row first, then children by ascending ID — is pinned too.
+func TestRangeTableMatchesMapModel(t *testing.T) {
+	rng := sim.NewRNG(42)
+	values := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.NaN()
+		default:
+			return rng.Range(-50, 50)
+		}
+	}
+	for run := 0; run < 200; run++ {
+		rt := NewRangeTable()
+		model := map[topology.NodeID]Tuple{}
+		var own *Tuple
+		for step := 0; step < 200; step++ {
+			id := topology.NodeID(rng.Intn(12))
+			switch op := rng.Intn(10); {
+			case op < 5:
+				tu := Tuple{values(), values()}
+				old, had := model[id]
+				changed := !had || old != tu
+				if got := rt.SetChild(id, tu); got != changed {
+					t.Fatalf("run %d step %d: SetChild(%d) = %v, model says %v", run, step, id, got, changed)
+				}
+				if changed { // an == tuple (±0 alike) keeps the stored one
+					model[id] = tu
+				}
+			case op < 8:
+				_, had := model[id]
+				if got := rt.RemoveChild(id); got != had {
+					t.Fatalf("run %d step %d: RemoveChild(%d) = %v, model says %v", run, step, id, got, had)
+				}
+				delete(model, id)
+			case op < 9:
+				v := rng.Range(-50, 50)
+				rt.ObserveReading(v, 1)
+				tu, _ := rt.Own()
+				own = &tu
+			default:
+				rt.ClearChildren()
+				clear(model)
+			}
+			checkRangeTableModel(t, rt, model, own)
+		}
+	}
+}
+
+func checkRangeTableModel(t *testing.T, rt *RangeTable, model map[topology.NodeID]Tuple, own *Tuple) {
+	t.Helper()
+	ids := make([]topology.NodeID, 0, len(model))
+	for id := range model {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	if !slices.Equal(rt.Children(), ids) {
+		t.Fatalf("Children = %v, model %v", rt.Children(), ids)
+	}
+	for id := topology.NodeID(0); id < 12; id++ {
+		got, ok := rt.Child(id)
+		want, has := model[id]
+		if ok != has || math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
+			math.Float64bits(got.Max) != math.Float64bits(want.Max) {
+			t.Fatalf("Child(%d) = %v %v, model %v %v", id, got, ok, want, has)
+		}
+	}
+	wantLen := len(model)
+	if own != nil {
+		wantLen++
+	}
+	if rt.Len() != wantLen {
+		t.Fatalf("Len = %d, model %d", rt.Len(), wantLen)
+	}
+	var rows []Tuple
+	if own != nil {
+		rows = append(rows, *own)
+	}
+	for _, id := range ids {
+		rows = append(rows, model[id])
+	}
+	agg, ok := rt.Aggregate()
+	if ok != (len(rows) > 0) {
+		t.Fatalf("Aggregate ok = %v with %d rows", ok, len(rows))
+	}
+	if !ok {
+		return
+	}
+	want := rows[0]
+	for _, r := range rows[1:] {
+		if r.Min < want.Min {
+			want.Min = r.Min
+		}
+		if r.Max > want.Max {
+			want.Max = r.Max
+		}
+	}
+	if math.Float64bits(agg.Min) != math.Float64bits(want.Min) ||
+		math.Float64bits(agg.Max) != math.Float64bits(want.Max) {
+		t.Fatalf("Aggregate = %v, model %v (rows %v)", agg, want, rows)
+	}
+}
+
+// TestLeafRangeTableAllocFree pins the cost of a leaf table, the common
+// case: the struct is its only allocation, and the per-epoch reading cycle
+// (observe, aggregate, decide) allocates nothing.
+func TestLeafRangeTableAllocFree(t *testing.T) {
+	var sink *RangeTable
+	if allocs := testing.AllocsPerRun(100, func() { sink = NewRangeTable() }); allocs != 1 {
+		t.Fatalf("NewRangeTable allocates %.1f objects, want 1", allocs)
+	}
+	rt := sink
+	v := 10.0
+	allocs := testing.AllocsPerRun(1000, func() {
+		v = 40 - v
+		rt.ObserveReading(v, 2)
+		if _, ok := rt.Aggregate(); !ok {
+			t.Fatal("no aggregate")
+		}
+		if u := rt.decideUpdate(2); u.send {
+			rt.markSent(u.agg)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("leaf observe+aggregate+decide cycle allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -16,8 +16,10 @@
 //
 // Field evaluation is lazy and activity-gated: Step advances only the
 // field state (drawing exactly the RNG sequence it always drew, so runs
-// stay bit-reproducible) while the exp-heavy per-node evaluation happens
-// on first read. ActiveSweep conservatively refutes hysteresis
+// stay bit-reproducible) while the per-node evaluation happens on first
+// read. That evaluation calls Exp only for plume terms that can change
+// the sum: a term below a quarter-ulp of the node's positive base is
+// skipped, which leaves the result bit-identical. ActiveSweep conservatively refutes hysteresis
 // escapes in O(1) per (node, type) — exact diurnal/noise/bias terms plus
 // an accumulated bound on plume motion — and the escape calendar
 // (escape.go) hands it only the pairs whose deadline has arrived, so a

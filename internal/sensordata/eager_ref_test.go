@@ -19,6 +19,7 @@ type eagerRef struct {
 	fields    [NumTypes]*typeField
 	epoch     int64
 	values    [][NumTypes]float64
+	plume     [][NumTypes]float64 // unclamped value minus base: Generator.snapPlume's counterpart
 }
 
 func newEagerRef(positions []topology.Position, rng *sim.RNG) *eagerRef {
@@ -40,6 +41,7 @@ func newEagerRef(positions []topology.Position, rng *sim.RNG) *eagerRef {
 	g := &eagerRef{
 		positions: append([]topology.Position(nil), positions...),
 		values:    make([][NumTypes]float64, len(positions)),
+		plume:     make([][NumTypes]float64, len(positions)),
 	}
 	for _, t := range AllTypes() {
 		p := DefaultParams(t)
@@ -118,11 +120,13 @@ func (g *eagerRef) compute() {
 		}
 		lo, hi := t.Span()
 		for i, pos := range g.positions {
-			v := p.Base + day + f.noise[i] + f.bias[i]
+			base := p.Base + day + f.noise[i] + f.bias[i]
+			v := base
 			for _, pl := range f.plumes {
 				dx, dy := pos.X-pl.x, pos.Y-pl.y
 				v += pl.amp * math.Exp(-(dx*dx+dy*dy)/(2*pl.sigma*pl.sigma))
 			}
+			g.plume[i][t] = v - base
 			if v < lo {
 				v = lo
 			}
@@ -134,12 +138,18 @@ func (g *eagerRef) compute() {
 	}
 }
 
-// testPositions mirrors how scenarios lay nodes out.
+// refPositions mirrors how scenarios lay nodes out: uniform on a 100 m
+// square.
 func refPositions(n int, seed uint64) []topology.Position {
+	return refPositionsIn(n, seed, 100)
+}
+
+// refPositionsIn lays n nodes uniformly on a side×side square.
+func refPositionsIn(n int, seed uint64, side float64) []topology.Position {
 	rng := sim.NewRNG(seed)
 	pos := make([]topology.Position, n)
 	for i := range pos {
-		pos[i] = topology.Position{X: rng.Range(0, 100), Y: rng.Range(0, 100)}
+		pos[i] = topology.Position{X: rng.Range(0, side), Y: rng.Range(0, side)}
 	}
 	return pos
 }

@@ -115,11 +115,44 @@ func DefaultParams(t Type) FieldParams {
 	}
 }
 
-// plume is one moving Gaussian hotspot.
+// plume is one moving Gaussian hotspot. amp is positive: it is drawn once
+// at construction (see NewGenerator) and never rebuilt, which is what lets
+// eval cull a plume's negligible far tail exactly.
 type plume struct {
 	x, y  float64
 	amp   float64
 	sigma float64
+	lnAmp float64 // ln(amp)
+	cullQ float64 // lnAmp + cullFloorSlack: eval's pre-filter for negligible
+}
+
+// Far-plume culling. For a positive normal base with biased exponent e,
+// ulp(base)/4 = 2^(e−1077), and a term amp·exp(−q) is below it when
+// q > ln(amp) + (1077−e)·ln 2. The threshold adds one nat (a factor of e)
+// to absorb Exp's sub-ulp error and the rounding of the threshold itself.
+//
+// cullMinExp keeps culling off for bases below 2^-959. There Exp's
+// subnormal results (absolute error up to 2^-1074) scaled by amp could
+// reach ulp(base)/4; from e = 64 up that needs amp >= 2^59, far above any
+// plume's. cullFloorSlack is the threshold's slack at e = 1053. Every base
+// below 2^31 has at least that slack, so eval can test the per-plume floor
+// ln(amp)+cullFloorSlack before reading the base's bits: the floor changes
+// no decision for those bases and only culls less for larger ones.
+const (
+	cullMinExp     = 64
+	cullFloorSlack = 1 + 24*math.Ln2
+)
+
+// negligible reports whether adding amp·exp(−q), 0 < amp < 2^59, to any
+// sum v >= base leaves v bit-for-bit unchanged: the term is below
+// ulp(base)/4 <= ulp(v)/4, so round-to-nearest returns v. It is false
+// whenever base is not a positive normal number of at least 2^-959.
+func negligible(base, lnAmp, q float64) bool {
+	e := int(math.Float64bits(base)>>52) & 0x7ff
+	if !(base > 0) || e < cullMinExp || e == 0x7ff {
+		return false
+	}
+	return q > lnAmp+1+float64(1077-e)*math.Ln2
 }
 
 // typeField is the per-sensor-type field state.
@@ -299,13 +332,20 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 				f.bias[i] = v
 			}
 		}
+		// Plumes are fixed here for the generator's lifetime: SetParams,
+		// ShiftBase and ScaleDynamics never rebuild them. Every amplitude is
+		// positive (PlumeAmp > 0 for every type, times U(0.6, 1.4)); eval's
+		// far-plume culling relies on it.
 		for i := 0; i < p.Plumes; i++ {
-			f.plumes = append(f.plumes, plume{
+			pl := plume{
 				x:     f.rng.Range(0, w),
 				y:     f.rng.Range(0, h),
 				amp:   p.PlumeAmp * f.rng.Range(0.6, 1.4),
 				sigma: p.PlumeSigma * f.rng.Range(0.8, 1.2),
-			})
+			}
+			pl.lnAmp = math.Log(pl.amp)
+			pl.cullQ = pl.lnAmp + cullFloorSlack
+			f.plumes = append(f.plumes, pl)
 		}
 		g.fields[t] = f
 	}
@@ -317,9 +357,10 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 // SetParams overrides the field parameters of one sensor type; values
 // reflect the change from the current epoch on. It may be called mid-run —
 // the run stays deterministic as long as the call happens at the same
-// epoch across runs (scripted dynamics rely on this). Changing Plumes
-// mid-run alters the per-epoch RNG consumption from that point, which is
-// still deterministic but shifts every later draw.
+// epoch across runs (scripted dynamics rely on this). The plumes themselves
+// (count, amplitude, width) are fixed at construction: Plumes, PlumeAmp and
+// PlumeSigma are ignored here, so the per-epoch RNG consumption never
+// changes.
 func (g *Generator) SetParams(t Type, p FieldParams) {
 	g.fields[t].params = p
 	g.invalidate()
@@ -476,6 +517,11 @@ func reflect(v, limit float64) float64 {
 // eval computes one node's value for one type at the current epoch — the
 // exact arithmetic the former eager per-epoch sweep used — and records the
 // quiescence snapshot (plume component and cumulative-bound watermark).
+//
+// A plume term that cannot change the sum is skipped without calling Exp.
+// Every term is positive, so with base > 0 each partial sum is >= base and
+// a term below ulp(base)/4 rounds away (see negligible); the result is bit
+// for bit the full sum's.
 func (g *Generator) eval(i int, t Type) {
 	f := g.fields[t]
 	day := f.day(g.epoch)
@@ -485,7 +531,11 @@ func (g *Generator) eval(i int, t Type) {
 	v := base
 	for _, pl := range f.plumes {
 		dx, dy := pos.X-pl.x, pos.Y-pl.y
-		v += pl.amp * math.Exp(-(dx*dx+dy*dy)/(2*pl.sigma*pl.sigma))
+		q := (dx*dx + dy*dy) / (2 * pl.sigma * pl.sigma)
+		if q > pl.cullQ && negligible(base, pl.lnAmp, q) {
+			continue
+		}
+		v += pl.amp * math.Exp(-q)
 	}
 	k := int(t)*len(g.positions) + i
 	g.snapPlume[k] = v - base
