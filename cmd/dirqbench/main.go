@@ -167,8 +167,8 @@ func scaleScenario(nodes int, epochs int64, naive bool) scenario.Config {
 // wall time plus the built simulation's live heap per node. The footprint
 // is the GC-settled HeapAlloc delta around a build plus one warmup epoch,
 // so transient construction garbage does not count against the budget but
-// every retained per-node structure (windows, escape calendars, range
-// tables, MAC frame state, event queue) does.
+// every retained per-node structure (windows, lazy-evaluation snapshots,
+// range tables, MAC frame state, event queue) does.
 func measureSetup(cfg scenario.Config) (nsPerOp, bytesPerNode float64, err error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/sensordata"
-	"repro/internal/topology"
 )
 
 // hotState is the protocol-owned struct-of-arrays view of everything the
@@ -111,9 +110,6 @@ func (p *Protocol) configureNode(i int) {
 			h.setAlwaysActive(i, t)
 		}
 	}
-	// The windows were rewritten outside the sweep→sample→refresh cycle,
-	// so the generator's escape calendar must re-examine this node.
-	p.gen.MarkWindowDirty(topology.NodeID(i))
 	p.rebuildTickList(i, h.gate[i] && needsTick)
 }
 

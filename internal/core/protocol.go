@@ -206,7 +206,6 @@ func New(engine *sim.Engine, mac *lmac.MAC, channel *radio.Channel,
 			p.hot.deployed[i] = true
 		} else {
 			p.hot.parkNode(i)
-			p.gen.MarkWindowDirty(topology.NodeID(i))
 		}
 	}
 	// MAC wiring: deliveries and cross-layer notifications.
@@ -454,12 +453,10 @@ func (p *Protocol) onNeighborDead(at, dead topology.NodeID) {
 	if !p.tree.Contains(dead) {
 		p.deadSeen[dead] = true
 		p.hot.parkNode(int(dead)) // dead orphan: out of the epoch loop
-		p.gen.MarkWindowDirty(dead)
 		return
 	}
 	p.deadSeen[dead] = true
 	p.hot.parkNode(int(dead))
-	p.gen.MarkWindowDirty(dead)
 	p.hot.deployed[dead] = false
 
 	par2 := topology.NodeID(-1)
@@ -578,11 +575,6 @@ func (p *Protocol) RetuneAll(pct float64) int {
 			rt.Retune(pct)
 			n++
 		}
-	}
-	if n > 0 {
-		// A retune may rewrite tuples (and thus sweep windows) wholesale;
-		// force the escape calendar to re-examine everything once.
-		p.gen.InvalidateWindows()
 	}
 	p.cfg.Telemetry.Retunes.Add(int64(n))
 	return n

@@ -48,6 +48,28 @@ func TestParseErrorMessages(t *testing.T) {
 			`script: cascade at 5: negative spacing -1`,
 		},
 		{
+			// Expand would append two billion kills.
+			"cascade count over the cap",
+			`{"events":[{"at":5,"op":"cascade","count":2000000000}]}`,
+			`script: cascade at 5: count 2000000000 over the 1048576 cap`,
+		},
+		{
+			"cascades over the cap in total",
+			`{"events":[{"at":5,"op":"cascade","count":1048576},{"at":6,"op":"cascade","count":1}]}`,
+			`script: cascades at index 1 expand to over 1048576 kills`,
+		},
+		{
+			// 5 + 2·2^62 wraps to a negative epoch.
+			"cascade last epoch overflows",
+			`{"events":[{"at":5,"op":"cascade","count":3,"spacing":4611686018427387904}]}`,
+			`script: cascade at 5: last kill's epoch overflows int64`,
+		},
+		{
+			"cascade last epoch one past int64",
+			`{"events":[{"at":1,"op":"cascade","count":2,"spacing":9223372036854775807}]}`,
+			`script: cascade at 1: last kill's epoch overflows int64`,
+		},
+		{
 			"shift with empty target set",
 			`{"events":[{"at":5,"op":"shift","delta":2}]}`,
 			`script: shift at 5: unknown sensor type ""`,
@@ -134,6 +156,20 @@ func TestDuplicateEpochEventsLegal(t *testing.T) {
 	for i, e := range expanded {
 		if e.At != 10 || e.Op != wantOps[i] {
 			t.Fatalf("tie order not preserved at %d: got %q@%d want %q@10", i, e.Op, e.At, wantOps[i])
+		}
+	}
+}
+
+// TestCascadeAtItsBounds: a cascade exactly at the count cap, or whose
+// last kill lands exactly on the largest epoch, is valid.
+func TestCascadeAtItsBounds(t *testing.T) {
+	for _, doc := range []string{
+		`{"events":[{"at":5,"op":"cascade","count":1048576}]}`,
+		`{"events":[{"at":1,"op":"cascade","count":2,"spacing":9223372036854775806}]}`,
+		`{"events":[{"at":9223372036854775807,"op":"cascade","count":1048576}]}`,
+	} {
+		if _, err := Parse([]byte(doc)); err != nil {
+			t.Errorf("Parse rejected %s: %v", doc, err)
 		}
 	}
 }

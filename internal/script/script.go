@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -65,6 +66,12 @@ type Event struct {
 	Coverage float64 `json:"coverage,omitempty"`
 }
 
+// maxCascadeKills caps the kills one script's cascades may expand to, in
+// total. It is above the largest network the scale ladder plans (1M
+// nodes), so no real script meets it, while a hostile count cannot make
+// Expand allocate without bound.
+const maxCascadeKills = 1 << 20
+
 // Validate rejects a malformed event (unknown op, missing or out-of-range
 // parameters). The horizon is not known here: events scheduled at or past
 // it are skipped by the driver and recorded as such, not rejected.
@@ -81,6 +88,12 @@ func (e Event) Validate() error {
 		}
 		if e.Spacing < 0 {
 			return fmt.Errorf("script: cascade at %d: negative spacing %d", e.At, e.Spacing)
+		}
+		if e.Count > maxCascadeKills {
+			return fmt.Errorf("script: cascade at %d: count %d over the %d cap", e.At, e.Count, maxCascadeKills)
+		}
+		if e.Spacing > 0 && int64(e.Count-1) > (math.MaxInt64-e.At)/e.Spacing {
+			return fmt.Errorf("script: cascade at %d: last kill's epoch overflows int64", e.At)
 		}
 	case OpShift:
 		if _, err := parseType(e.Type); err != nil {
@@ -188,6 +201,7 @@ func (s *Script) Validate() error {
 		return fmt.Errorf("script: workload coverage %v outside [0,1]", s.Workload.Coverage)
 	}
 	prev := int64(0)
+	kills := 0
 	for i, e := range s.Events {
 		if err := e.Validate(); err != nil {
 			return err
@@ -196,6 +210,12 @@ func (s *Script) Validate() error {
 			return fmt.Errorf("script: events not ordered by epoch at index %d (%d after %d)", i, e.At, prev)
 		}
 		prev = e.At
+		if e.Op == OpCascade {
+			// e.Validate capped Count, so the sum cannot overflow.
+			if kills += e.Count; kills > maxCascadeKills {
+				return fmt.Errorf("script: cascades at index %d expand to over %d kills", i, maxCascadeKills)
+			}
+		}
 	}
 	return nil
 }

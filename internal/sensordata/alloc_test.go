@@ -1,10 +1,12 @@
 package sensordata
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -94,10 +96,28 @@ func TestQuiescentWindowZeroEvaluations(t *testing.T) {
 }
 
 // TestSweepNeverLies is the safety property: whenever the sweep omits a
-// node, the node's actual value this epoch must indeed lie inside its
-// window. Runs with full default dynamics so plumes, noise and the
-// diurnal cycle all push against the bound.
+// (node, type) pair, the node's actual value this epoch must indeed lie
+// inside that window.
 func TestSweepNeverLies(t *testing.T) {
+	t.Run("hysteresis", checkSweepHysteresis)
+	epochs := 300
+	if testing.Short() {
+		epochs = 60
+	}
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{1, 1}, {63, 2}, {64, 3}, {130, 4}, {1000, 5}} {
+		t.Run(fmt.Sprintf("random-windows/n%d", tc.n), func(t *testing.T) {
+			checkSweepRandomWindows(t, tc.n, tc.seed, epochs)
+		})
+	}
+}
+
+// checkSweepHysteresis runs with full default dynamics, so plumes, noise
+// and the diurnal cycle all push against the bound, and windows follow
+// the protocol's hysteresis rule.
+func checkSweepHysteresis(t *testing.T) {
 	pos := refPositions(80, 13)
 	g := NewGenerator(pos, sim.NewRNG(7).Stream("data"))
 
@@ -146,5 +166,161 @@ func TestSweepNeverLies(t *testing.T) {
 	}
 	if math.IsNaN(g.Value(0, Temperature)) {
 		t.Fatal("NaN escaped the generator")
+	}
+}
+
+// checkSweepRandomWindows drives one generator through random windows:
+// hysteresis-style windows of random width around fresh readings, knife
+// edges, both sentinels, rewrites of arbitrary nodes between sweeps,
+// ground-truth reads that refresh snapshots, and field regime shifts. A
+// twin generator of the same seed, read in full, supplies the true
+// readings without touching the subject's snapshots. Every epoch:
+//   - dst is ascending and mask[i] != 0 holds exactly for its nodes;
+//   - every (+Inf, -Inf) pair is flagged and no (-Inf, +Inf) pair is;
+//   - every pair the sweep omits reads inside its window;
+//   - the sweep examined every pair, and flagged as many as it counted.
+func checkSweepRandomWindows(t *testing.T, n int, seed uint64, epochs int) {
+	pos := refPositions(n, seed)
+	g := NewGenerator(pos, sim.NewRNG(seed).Stream("data"))
+	truth := NewGenerator(pos, sim.NewRNG(seed).Stream("data"))
+	tel := Telemetry{SweepHits: &telemetry.Counter{}, SweepRefutes: &telemetry.Counter{}}
+	g.SetTelemetry(tel)
+	rng := sim.NewRNG(seed).Stream("windows")
+	inf := math.Inf(1)
+
+	// randomWindow draws a window for one (node, type): around v when the
+	// reading is known, anywhere in the span otherwise, or a sentinel.
+	randomWindow := func(ty Type, v float64, known bool) (float64, float64) {
+		lo, hi := ty.Span()
+		switch u := rng.Float64(); {
+		case u < 0.1:
+			return inf, -inf // always active
+		case u < 0.2:
+			return -inf, inf // never active
+		case known:
+			w := rng.Float64() * 0.1 * ty.SpanWidth()
+			if rng.Bool(0.05) {
+				w = 0 // knife edge
+			}
+			return v - w, v + w
+		default:
+			c := rng.Range(lo, hi)
+			w := rng.Float64() * 0.2 * ty.SpanWidth()
+			return c - w, c + w
+		}
+	}
+	var lo, hi [NumTypes][]float64
+	for _, ty := range AllTypes() {
+		lo[ty], hi[ty] = make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			lo[ty][i], hi[ty][i] = randomWindow(ty, 0, false)
+		}
+	}
+
+	mask := make([]uint8, n)
+	var dst []int32
+	var flagged int64
+	for epoch := 0; epoch < epochs; epoch++ {
+		if epoch > 0 {
+			g.Step()
+			truth.Step()
+		}
+		// Stale bits must not survive a sweep.
+		for i := range mask {
+			mask[i] = 0xff
+		}
+		dst = g.ActiveSweep(&lo, &hi, mask, dst[:0])
+
+		k := 0
+		for i := 0; i < n; i++ {
+			listed := k < len(dst) && int(dst[k]) == i
+			if listed {
+				k++
+			}
+			if (mask[i] != 0) != listed {
+				t.Fatalf("epoch %d: node %d mask %04b but listed=%v in %v", epoch, i, mask[i], listed, dst)
+			}
+		}
+		if k != len(dst) {
+			t.Fatalf("epoch %d: active list %v is not ascending node IDs", epoch, dst)
+		}
+		for _, ty := range AllTypes() {
+			bit := uint8(1) << uint(ty)
+			for i := 0; i < n; i++ {
+				wlo, whi := lo[ty][i], hi[ty][i]
+				on := mask[i]&bit != 0
+				if on {
+					flagged++
+				}
+				switch {
+				case math.IsInf(wlo, 1) && math.IsInf(whi, -1):
+					if !on {
+						t.Fatalf("epoch %d: always-active node %d %s not flagged", epoch, i, ty)
+					}
+				case math.IsInf(wlo, -1) && math.IsInf(whi, 1):
+					if on {
+						t.Fatalf("epoch %d: never-active node %d %s flagged", epoch, i, ty)
+					}
+				case !on:
+					if v := truth.Value(topology.NodeID(i), ty); v < wlo || v > whi {
+						t.Fatalf("epoch %d node %d type %s: sweep claimed quiet but value %v escaped [%v, %v]",
+							epoch, i, ty, v, wlo, whi)
+					}
+				}
+			}
+		}
+		if hits, refutes := tel.SweepHits.Value(), tel.SweepRefutes.Value(); hits != flagged ||
+			hits+refutes != int64(epoch+1)*int64(n)*int64(NumTypes) {
+			t.Fatalf("epoch %d: telemetry %d hits + %d refutes, want %d hits of %d pairs",
+				epoch, hits, refutes, flagged, int64(epoch+1)*int64(n)*int64(NumTypes))
+		}
+
+		// Sample the active pairs and re-arm their windows, as the
+		// protocol does.
+		for _, ai := range dst {
+			i := int(ai)
+			for _, ty := range AllTypes() {
+				if mask[i]&(1<<uint(ty)) == 0 {
+					continue
+				}
+				v := g.Value(topology.NodeID(i), ty)
+				if rng.Bool(0.9) {
+					lo[ty][i], hi[ty][i] = randomWindow(ty, v, true)
+				}
+			}
+		}
+		// Ground-truth style reads of arbitrary nodes refresh snapshots.
+		for k := rng.Intn(4); k > 0; k-- {
+			g.Value(topology.NodeID(rng.Intn(n)), AllTypes()[rng.Intn(int(NumTypes))])
+		}
+		// Rewrites of any node's windows between sweeps, and regime shifts.
+		switch u := rng.Float64(); {
+		case u < 0.3:
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				i := rng.Intn(n)
+				for _, ty := range AllTypes() {
+					lo[ty][i], hi[ty][i] = randomWindow(ty, 0, false)
+				}
+			}
+		case u < 0.33:
+			for _, ty := range AllTypes() {
+				for i := 0; i < n; i++ {
+					if rng.Bool(0.3) {
+						lo[ty][i], hi[ty][i] = randomWindow(ty, 0, false)
+					}
+				}
+			}
+		case u < 0.345:
+			ty, d := AllTypes()[rng.Intn(int(NumTypes))], rng.Range(-0.1, 0.1)
+			g.ShiftBase(ty, d*ty.SpanWidth())
+			truth.ShiftBase(ty, d*ty.SpanWidth())
+		case u < 0.36:
+			ty, f := AllTypes()[rng.Intn(int(NumTypes))], rng.Range(0.3, 3)
+			g.ScaleDynamics(ty, f)
+			truth.ScaleDynamics(ty, f)
+		}
+	}
+	if tel.SweepHits.Value() == 0 || tel.SweepRefutes.Value() == 0 {
+		t.Fatalf("sweep outcomes one-sided: %d hits, %d refutes", tel.SweepHits.Value(), tel.SweepRefutes.Value())
 	}
 }

@@ -19,9 +19,9 @@
 // stay bit-reproducible) while the per-node evaluation happens on first
 // read. That evaluation calls Exp only for plume terms that can change
 // the sum: a term below a quarter-ulp of the node's positive base is
-// skipped, which leaves the result bit-identical. ActiveSweep conservatively refutes hysteresis
-// escapes in O(1) per (node, type) — exact diurnal/noise/bias terms plus
-// an accumulated bound on plume motion — and the escape calendar
-// (escape.go) hands it only the pairs whose deadline has arrived, so a
-// quiescent network's epoch cost tracks its active set, not its size.
+// skipped, which leaves the result bit-identical. ActiveSweep conservatively
+// refutes hysteresis escapes in O(1) per (node, type) — exact
+// diurnal/noise/bias terms plus an accumulated bound on plume motion — in
+// one pass over every pair, so a quiescent network evaluates nothing and
+// pays only that scan on top of Step's per-pair noise draw.
 package sensordata

@@ -172,14 +172,6 @@ type typeField struct {
 	dayEpoch int64 // epoch dayVal is valid for; -1 = stale
 	dayVal   float64
 	cumBound float64
-
-	// Escape-calendar state (see escape.go): escA is the monotone
-	// accumulator bounding how much ANY node's value can have moved in
-	// total (plume motion + worst-case noise delta + diurnal delta);
-	// lastDay is the previous epoch's diurnal term, the baseline for the
-	// diurnal delta.
-	escA    float64
-	lastDay float64
 }
 
 // dayAt computes the type's diurnal term for an epoch from scratch.
@@ -223,22 +215,6 @@ type Generator struct {
 	snapCum   []float64 // cumBound at that evaluation; -Inf = no usable snapshot
 	evals     uint64    // total per-(node, type) field evaluations
 
-	// Escape-calendar state (see escape.go). nextT[t*N+i] is the escA
-	// threshold at which (node i, type t) must be re-examined: NaN = due
-	// but not yet examined, +Inf = never (until dirtied). The due set is
-	// recomputed once per epoch by escDrain and shared by every sweep of
-	// that epoch.
-	nextT     []float64
-	esc       [NumTypes]escCalendar
-	escEpoch  int64 // epoch the due set below is valid for
-	escAllDue bool  // next drain marks everything due
-	forced    []int32
-	dueNodes  []int32  // this epoch's due set, ascending
-	dueBits   []uint64 // per-node bitset of the due set a drain is building; zero between drains
-	dueMask   []uint8  // per node: due type bits (valid for due nodes)
-	prevDue   []int32  // previous drain's due set (compact)
-	prevMask  []uint8  // previous drain's due bits, parallel to prevDue
-
 	tel Telemetry
 }
 
@@ -252,10 +228,9 @@ type Telemetry struct {
 	// SweepHits counts (node, type) pairs ActiveSweep could NOT
 	// prove quiet.
 	SweepHits *telemetry.Counter
-	// SweepRefutes counts (node, type) pairs ActiveSweep examined and
-	// proved quiet. With the escape calendar, pairs whose deadline has not
-	// arrived are skipped without being examined or counted, so on a
-	// quiescent epoch this stays O(active set), not O(N).
+	// SweepRefutes counts (node, type) pairs ActiveSweep proved quiet.
+	// The sweep examines every pair, so hits plus refutes grow by
+	// N·NumTypes per sweep.
 	SweepRefutes *telemetry.Counter
 }
 
@@ -349,7 +324,6 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 		}
 		g.fields[t] = f
 	}
-	g.escInit()
 	g.compute()
 	return g
 }
@@ -377,7 +351,6 @@ func (g *Generator) invalidate() {
 	for _, t := range AllTypes() {
 		g.fields[t].dayEpoch = -1
 	}
-	g.escInvalidate()
 }
 
 // Params returns the current field parameters of one sensor type.
@@ -481,24 +454,10 @@ func (g *Generator) stepType(t Type) {
 		}
 		motion += b
 	}
-	maxNoiseDelta := 0.0
 	for i := range f.noise {
-		old := f.noise[i]
-		nv := p.NoisePhi*old + f.rng.NormFloat64()*p.NoiseSigma
-		f.noise[i] = nv
-		if d := math.Abs(nv - old); d > maxNoiseDelta {
-			maxNoiseDelta = d
-		}
+		f.noise[i] = p.NoisePhi*f.noise[i] + f.rng.NormFloat64()*p.NoiseSigma
 	}
 	f.cumBound += motion
-	// Grow the escape accumulator by this epoch's total motion budget and
-	// eagerly seed the diurnal cache (same deterministic value the lazy
-	// fill would compute).
-	nd := f.dayAt(g.epoch)
-	f.escA += motion + maxNoiseDelta + math.Abs(nd-f.lastDay)
-	f.lastDay = nd
-	f.dayEpoch = g.epoch
-	f.dayVal = nd
 }
 
 // reflect folds v back into [0, limit].
@@ -565,8 +524,9 @@ func (g *Generator) compute() {
 // ActiveSweep finds the nodes whose current-epoch reading for some type t
 // cannot be *proven* to lie inside the caller's per-(type, node) window
 // [lo[t][i], hi[t][i]] — for the DirQ protocol, the node's own hysteresis
-// tuple. It writes each such node's active-type bitmask into mask[i] and
-// appends its ID to dst in ascending order.
+// tuple. It writes each node's active-type bitmask into mask[i] (zero for
+// a node proved quiet) and appends the ID of every node with a non-zero
+// mask to dst in ascending order.
 //
 // The proof is conservative and O(1) per (node, type): the diurnal, noise
 // and bias terms are exact (the generator evolves them every epoch
@@ -579,26 +539,15 @@ func (g *Generator) compute() {
 // this epoch, so skipping its hysteresis checks is behaviour-preserving,
 // not an approximation.
 //
-// The sweep consumes the escape calendar (see escape.go): only the
-// (node, type) pairs whose re-examination deadline has arrived are
-// examined, so the per-epoch cost is O(active + due). The walk is
-// type-major over the ascending due set. mask is zeroed for every due
-// node; entries of nodes that were not due are left untouched and carry
-// no meaning. Telemetry: per-type hits and examined-but-quiet refutes are
-// added to the counters.
-//
-// The calendar imposes a window-stability contract: between sweeps, callers
-// may rewrite windows only for nodes the previous sweep reported active
-// (the usual sweep→sample→refresh cycle), or must announce the rewrite
-// with MarkWindowDirty / InvalidateWindows.
+// Every call is one type-major pass over every (node, type) pair and reads
+// the windows as they are at the call, so callers may rewrite any window
+// between sweeps. Step already costs O(N·types) per epoch (one noise draw
+// per pair), which the few compares per pair here do not change.
+// Telemetry: per-type hits and refutes are added to the counters.
 func (g *Generator) ActiveSweep(lo, hi *[NumTypes][]float64, mask []uint8, dst []int32) []int32 {
-	g.escDrain()
 	n := len(g.positions)
-	due := g.dueNodes
-	dueMask := g.dueMask
-	for _, id := range due {
-		mask[id] = 0
-	}
+	mask = mask[:n]
+	clear(mask)
 	for _, t := range AllTypes() {
 		f := g.fields[t]
 		base := f.params.Base + f.day(g.epoch)
@@ -609,18 +558,10 @@ func (g *Generator) ActiveSweep(lo, hi *[NumTypes][]float64, mask []uint8, dst [
 		noise, bias := f.noise[:n], f.bias[:n]
 		snapP := g.snapPlume[int(t)*n : int(t)*n+n]
 		snapC := g.snapCum[int(t)*n : int(t)*n+n]
-		nextT := g.nextT[int(t)*n : int(t)*n+n]
 		wlo, whi := lo[t][:n], hi[t][:n]
-		A := f.escA
-		safety := escSafetyMargins[t]
 		bit := uint8(1) << uint(t)
-		var hits, examined int64
-		for _, id := range due {
-			if dueMask[id]&bit == 0 {
-				continue
-			}
-			examined++
-			i := int(id)
+		var hits int64
+		for i := range n {
 			dev := cum - snapC[i]
 			c := base + noise[i] + bias[i] + snapP[i]
 			vlo, vhi := c-dev, c+dev
@@ -633,26 +574,14 @@ func (g *Generator) ActiveSweep(lo, hi *[NumTypes][]float64, mask []uint8, dst [
 			if vlo < wlo[i] || vhi > whi[i] {
 				mask[i] |= bit
 				hits++
-				nextT[i] = A // active: re-examine next epoch
-			} else {
-				m := vlo - wlo[i]
-				if d := whi[i] - vhi; d < m {
-					m = d
-				}
-				// m is +Inf for unreachable windows: parked until dirtied.
-				T := A + m - safety
-				if !(T > A) {
-					T = A
-				}
-				nextT[i] = T
 			}
 		}
 		g.tel.SweepHits.Add(hits)
-		g.tel.SweepRefutes.Add(examined - hits)
+		g.tel.SweepRefutes.Add(int64(n) - hits)
 	}
-	for _, id := range due {
-		if mask[id] != 0 {
-			dst = append(dst, id)
+	for i, m := range mask {
+		if m != 0 {
+			dst = append(dst, int32(i))
 		}
 	}
 	return dst

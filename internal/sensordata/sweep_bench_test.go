@@ -8,15 +8,14 @@ import (
 	"repro/internal/topology"
 )
 
-// BenchmarkSweep times one epoch of the activity sweep — the escape
-// calendar's drain plus ActiveSweep — on a static field, so the numbers
-// isolate the sweep from field stepping:
+// BenchmarkSweep times one epoch of the activity sweep on a static field,
+// so the numbers isolate the sweep from field stepping. Every call is a
+// full scan of every (node, type) pair:
 //
 //   - quiescent-100k: every pair sits in a window around its reading, so
-//     after the first sweep nothing is due and an epoch costs the drain's
-//     O(N/64) bitset walk;
+//     nothing is active and an epoch costs the bare 400k-pair scan;
 //   - half-active-25k: every other node rides the always-active sentinel,
-//     so half the network is due and active every epoch.
+//     so half the network is active every epoch.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("quiescent-100k", func(b *testing.B) { benchSweep(b, 100000, false) })
 	b.Run("half-active-25k", func(b *testing.B) { benchSweep(b, 25000, true) })
@@ -43,7 +42,6 @@ func benchSweep(b *testing.B, n int, halfActive bool) {
 		}
 	}
 	mask := make([]uint8, n)
-	// The first sweep examines every pair and parks the quiet ones.
 	dst := g.ActiveSweep(&lo, &hi, mask, make([]int32, 0, n))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"time"
@@ -107,6 +108,25 @@ const maxQueryBody = 64 << 10
 // second is a conservative "the queue will have drained" hint.
 const overloadedRetryAfter = "1"
 
+// decodeQueryBody reads exactly one QueryRequestWire object. Unknown
+// fields and anything after the object but whitespace are errors, so a
+// misspelled field fails loudly instead of being ignored.
+func decodeQueryBody(body io.Reader) (QueryRequestWire, error) {
+	var wire QueryRequestWire
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		return wire, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the request object")
+		}
+		return wire, err
+	}
+	return wire, nil
+}
+
 // NewHandler exposes a Manager over HTTP:
 //
 //	POST /query         admit one range query, wait for its answer
@@ -129,9 +149,8 @@ func NewHandler(m *Manager, info ...ServerInfo) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		var wire QueryRequestWire
-		body := http.MaxBytesReader(w, r.Body, maxQueryBody)
-		if err := json.NewDecoder(body).Decode(&wire); err != nil {
+		wire, err := decodeQueryBody(http.MaxBytesReader(w, r.Body, maxQueryBody))
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeError(w, http.StatusRequestEntityTooLarge,

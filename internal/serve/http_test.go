@@ -132,4 +132,24 @@ func TestHTTPErrors(t *testing.T) {
 		!strings.Contains(se.Msg, "request body over 65536 bytes") {
 		t.Fatalf("oversized body: %v", err)
 	}
+
+	// Malformed bodies are refused with 400 and a JSON error: an unknown
+	// (e.g. misspelled) field, a second object, or trailing garbage.
+	for _, tc := range []struct{ body, msg string }{
+		{`{"type":"temperature","hi_":25}`, `unknown field "hi_"`},
+		{`{"type":"temperature"}{"type":"light"}`, "trailing data after the request object"},
+		{`{"type":"temperature"} x`, "invalid character 'x'"},
+	} {
+		var resp Response
+		err := c.do(ctx, http.MethodPost, "/query", []byte(tc.body), &resp)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest ||
+			!strings.Contains(se.Msg, "bad JSON body") || !strings.Contains(se.Msg, tc.msg) {
+			t.Fatalf("body %s: %v", tc.body, err)
+		}
+	}
+	// Trailing whitespace is not trailing data.
+	if err := c.do(ctx, http.MethodPost, "/query", []byte("{\"type\":\"temperature\"}\n\t "), &resp); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
 }

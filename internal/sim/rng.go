@@ -75,9 +75,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -124,25 +121,6 @@ func (r *RNG) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes a slice of ints in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -199,40 +199,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(51)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(61)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed element multiset: %v", s)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(71)
 	hits := 0

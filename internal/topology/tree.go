@@ -263,41 +263,3 @@ func BuildSpanningTree(g *Graph, root NodeID, maxFanout, maxDepth int) (*Tree, e
 	}
 	return t, nil
 }
-
-// ReattachOrphans reattaches the given detached nodes (e.g. the subtree of a
-// dead node) to the tree using their radio neighbors, shallowest-parent
-// first, respecting the fan-out and depth caps. Nodes whose radio neighbors
-// are all detached or at capacity stay orphaned and are returned.
-func ReattachOrphans(t *Tree, g *Graph, orphans []NodeID, maxFanout, maxDepth int) (attached, failed []NodeID) {
-	pending := append([]NodeID(nil), orphans...)
-	for progress := true; progress; {
-		progress = false
-		var still []NodeID
-		for _, id := range pending {
-			best := NodeID(-1)
-			bestDepth := maxDepth + 1
-			for _, nb := range g.Neighbors(id) {
-				if !t.Contains(nb) {
-					continue
-				}
-				d := t.Depth(nb)
-				if d >= maxDepth || len(t.Children(nb)) >= maxFanout {
-					continue
-				}
-				if d < bestDepth || (d == bestDepth && nb < best) {
-					best, bestDepth = nb, d
-				}
-			}
-			if best >= 0 {
-				if err := t.Attach(best, id); err == nil {
-					attached = append(attached, id)
-					progress = true
-					continue
-				}
-			}
-			still = append(still, id)
-		}
-		pending = still
-	}
-	return attached, pending
-}

@@ -236,55 +236,6 @@ func TestBuildSpanningTreeBadParams(t *testing.T) {
 	}
 }
 
-func TestReattachOrphans(t *testing.T) {
-	// Grid where we detach a subtree then reattach via other radio links.
-	g, err := PlaceGrid(4, 10, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := BuildSpanningTree(g, Root, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill node 1's subtree association by detaching it.
-	victim := tr.Children(Root)[0]
-	removed, err := tr.Detach(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The victim node itself died: its edges go away, others reattach.
-	g.RemoveNodeEdges(victim)
-	orphans := removed[1:]
-	attached, failed := ReattachOrphans(tr, g, orphans, 4, 8)
-	if len(failed) != 0 {
-		t.Fatalf("orphans failed to reattach on a dense grid: %v", failed)
-	}
-	if len(attached) != len(orphans) {
-		t.Fatalf("attached %d of %d orphans", len(attached), len(orphans))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate after reattach: %v", err)
-	}
-}
-
-func TestReattachOrphansImpossible(t *testing.T) {
-	g, _ := PlaceLine(3, 1) // 0-1-2
-	tr, err := BuildSpanningTree(g, Root, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := tr.Detach(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.RemoveNodeEdges(1)
-	// Node 2's only path was through node 1; it cannot reattach.
-	_, failed := ReattachOrphans(tr, g, removed[1:], 2, 4)
-	if len(failed) != 1 || failed[0] != 2 {
-		t.Fatalf("failed = %v, want [2]", failed)
-	}
-}
-
 // Property: spanning trees over random connected graphs always satisfy the
 // structural invariants and honor the caps.
 func TestPropertySpanningTreeInvariants(t *testing.T) {
