@@ -97,27 +97,10 @@ func TestQuiescentWindowZeroEvaluations(t *testing.T) {
 
 // TestSweepNeverLies is the safety property: whenever the sweep omits a
 // (node, type) pair, the node's actual value this epoch must indeed lie
-// inside that window.
-func TestSweepNeverLies(t *testing.T) {
-	t.Run("hysteresis", checkSweepHysteresis)
-	epochs := 300
-	if testing.Short() {
-		epochs = 60
-	}
-	for _, tc := range []struct {
-		n    int
-		seed uint64
-	}{{1, 1}, {63, 2}, {64, 3}, {130, 4}, {1000, 5}} {
-		t.Run(fmt.Sprintf("random-windows/n%d", tc.n), func(t *testing.T) {
-			checkSweepRandomWindows(t, tc.n, tc.seed, epochs)
-		})
-	}
-}
-
-// checkSweepHysteresis runs with full default dynamics, so plumes, noise
+// inside that window. Runs with full default dynamics so plumes, noise
 // and the diurnal cycle all push against the bound, and windows follow
 // the protocol's hysteresis rule.
-func checkSweepHysteresis(t *testing.T) {
+func TestSweepNeverLies(t *testing.T) {
 	pos := refPositions(80, 13)
 	g := NewGenerator(pos, sim.NewRNG(7).Stream("data"))
 
@@ -166,6 +149,24 @@ func checkSweepHysteresis(t *testing.T) {
 	}
 	if math.IsNaN(g.Value(0, Temperature)) {
 		t.Fatal("NaN escaped the generator")
+	}
+}
+
+// TestSweepNeverLiesRandomWindows is the same safety property under
+// adversarial windows, at network sizes on both sides of the 64-node
+// word boundary.
+func TestSweepNeverLiesRandomWindows(t *testing.T) {
+	epochs := 300
+	if testing.Short() {
+		epochs = 60
+	}
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{1, 1}, {63, 2}, {64, 3}, {130, 4}, {1000, 5}} {
+		t.Run(fmt.Sprintf("n%d", tc.n), func(t *testing.T) {
+			checkSweepRandomWindows(t, tc.n, tc.seed, epochs)
+		})
 	}
 }
 
