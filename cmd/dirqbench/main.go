@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -225,7 +224,7 @@ func telemetrySnapshot(cfg scenario.Config) (map[string]int64, error) {
 }
 
 // runScale times the steady state alone: construction happens under a
-// stopped timer (on a recycled engine, as the sweeps do), so the recorded
+// stopped timer, so the recorded
 // epochs/sec is the per-epoch engine's and a large-N point is not
 // flattered or damned by its one-off build. Setup cost is measured
 // separately (measureSetup) and recorded in its own columns. The run has a
@@ -233,11 +232,10 @@ func telemetrySnapshot(cfg scenario.Config) (map[string]int64, error) {
 // instrumented build's.
 func runScale(b *testing.B, cfg scenario.Config) {
 	cfg.Telemetry = telemetry.NewRegistry()
-	engine := sim.NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		r, err := scenario.BuildWithEngine(cfg, engine)
+		r, err := scenario.Build(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -188,9 +188,6 @@ func (c *Controller) Retune(pct float64) {
 	c.deltaPct = clamp(c.deltaPct, c.cfg.MinPct, c.cfg.MaxPct)
 }
 
-// Gain exposes the feedback gain (for ablation experiments and tests).
-func (c *Controller) Gain() float64 { return c.gain }
-
 // Budget exposes the current per-hour budget.
 func (c *Controller) Budget() float64 { return c.budget }
 

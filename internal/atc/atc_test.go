@@ -161,8 +161,8 @@ func TestFeedbackCorrectsOverspend(t *testing.T) {
 	if c.DeltaPct() <= base {
 		t.Fatalf("overspend did not widen δ: %v -> %v", base, c.DeltaPct())
 	}
-	if c.Gain() <= 1 {
-		t.Fatalf("gain %v after overspend, want > 1", c.Gain())
+	if c.gain <= 1 {
+		t.Fatalf("gain %v after overspend, want > 1", c.gain)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestFeedbackCorrectsUnderspend(t *testing.T) {
 	c.OnEstimate(core.EstimateMsg{Seq: 1, BudgetPerNode: 10})
 	// Send nothing for two hours.
 	c.OnEstimate(core.EstimateMsg{Seq: 2, BudgetPerNode: 10})
-	if c.Gain() >= 1 {
-		t.Fatalf("gain %v after underspend, want < 1", c.Gain())
+	if c.gain >= 1 {
+		t.Fatalf("gain %v after underspend, want < 1", c.gain)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestGainClamped(t *testing.T) {
 		}
 		c.OnEstimate(core.EstimateMsg{Seq: int64(hour + 2), BudgetPerNode: 1})
 	}
-	if c.Gain() > 40 {
-		t.Fatalf("gain %v exceeded clamp", c.Gain())
+	if c.gain > 40 {
+		t.Fatalf("gain %v exceeded clamp", c.gain)
 	}
 	if c.DeltaPct() > cfg.MaxPct {
 		t.Fatalf("δ %v exceeded max", c.DeltaPct())

@@ -213,7 +213,6 @@ func New(engine *sim.Engine, mac *lmac.MAC, channel *radio.Channel,
 		mac.Listen(topology.NodeID(i), p.nodes[i].HandleMessage)
 	}
 	mac.OnNeighborDead(p.onNeighborDead)
-	mac.OnNeighborNew(func(at, fresh topology.NodeID) {})
 	mac.Init()
 	return p, nil
 }

@@ -13,9 +13,9 @@ import (
 // TestGenerateDeterministic: the generator is a pure function of the seed.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
-		a, b := Generate(seed), Generate(seed)
+		a, b := GenerateSized(seed, 0), GenerateSized(seed, 0)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: Generate not deterministic:\n%+v\n%+v", seed, a, b)
+			t.Fatalf("seed %d: GenerateSized not deterministic:\n%+v\n%+v", seed, a, b)
 		}
 	}
 }
@@ -26,7 +26,7 @@ func TestGenerateCoverage(t *testing.T) {
 	modes := map[scenario.ThresholdMode]bool{}
 	ops := map[script.Op]bool{}
 	for seed := uint64(0); seed < 60; seed++ {
-		c := Generate(seed)
+		c := GenerateSized(seed, 0)
 		modes[c.Cfg.Mode] = true
 		for _, e := range c.Script.Events {
 			ops[e.Op] = true
@@ -135,7 +135,7 @@ func TestCorpusReplay(t *testing.T) {
 // TestReproRoundTrip: write → load preserves the case exactly.
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c := Generate(7)
+	c := GenerateSized(7, 0)
 	path, err := WriteRepro(dir, Repro{Oracle: OracleGating, Note: "round-trip", Case: c})
 	if err != nil {
 		t.Fatal(err)

@@ -43,13 +43,10 @@ var bigNodes = []int{80, 120}
 // few workload injections inside the run.
 const minEpochs = 120
 
-// Generate derives the Case for one seed. The scenario seed embedded in
-// the config is walked forward until the deployment actually builds
+// GenerateSized derives the Case for one seed. The scenario seed embedded
+// in the config is walked forward until the deployment actually builds
 // (connected placement within the depth cap), so every generated case is
-// runnable by construction.
-func Generate(seed uint64) Case { return GenerateSized(seed, 0) }
-
-// GenerateSized is Generate with the network size forced to nodes (0
+// runnable by construction. A non-zero nodes forces the network size (0
 // keeps the generator's own ladder draw) — the focused large-N pass the
 // nightly campaign runs at a few thousand nodes. The override replaces
 // the drawn size after all of the size draws have been consumed, so a

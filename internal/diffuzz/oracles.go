@@ -425,9 +425,8 @@ func randRequest(rng *sim.RNG) serve.Request {
 }
 
 // workerIDs are the experiment sweeps the workers oracle samples: cheap
-// enough to run twice per case, and together covering the plain-run pool
-// (fig5), the threshold sweep (fig6), and the scripted engine-pool path
-// (churn).
+// enough to run twice per case, and together covering the plain-run sweep
+// (fig5), the threshold sweep (fig6), and the scripted-run sweep (churn).
 var workerIDs = []string{experiments.IDFig5a, experiments.IDFig6, experiments.IDChurn}
 
 // oracleWorkers: experiment results must not depend on the worker count.

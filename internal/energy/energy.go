@@ -2,7 +2,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/radio"
 	"repro/internal/topology"
@@ -72,15 +71,6 @@ func NewBank(n int, model Model) (*Bank, error) {
 // OnDeath registers the callback fired once when a node depletes.
 func (b *Bank) OnDeath(fn func(topology.NodeID)) { b.onDeath = fn }
 
-// Charge returns a node's remaining charge.
-func (b *Bank) Charge(id topology.NodeID) float64 { return b.charge[id] }
-
-// Depleted reports whether the node has run out.
-func (b *Bank) Depleted(id topology.NodeID) bool { return b.depleted[id] }
-
-// Alive reports the inverse of Depleted (convenience for flood.CostOnly).
-func (b *Bank) Alive(id topology.NodeID) bool { return !b.depleted[id] }
-
 func (b *Bank) drain(id topology.NodeID, amount float64) {
 	if id == topology.Root || b.depleted[id] {
 		return
@@ -142,33 +132,4 @@ func (b *Bank) LiveCount() int {
 		}
 	}
 	return n
-}
-
-// MinCharge returns the lowest remaining charge among live non-root nodes
-// and the node holding it; ok is false if all non-root nodes are dead.
-func (b *Bank) MinCharge() (topology.NodeID, float64, bool) {
-	best := topology.NodeID(-1)
-	bestC := 0.0
-	for i := 1; i < len(b.charge); i++ {
-		if b.depleted[i] {
-			continue
-		}
-		if best < 0 || b.charge[i] < bestC {
-			best = topology.NodeID(i)
-			bestC = b.charge[i]
-		}
-	}
-	return best, bestC, best >= 0
-}
-
-// Distribution returns all live non-root charges, sorted ascending.
-func (b *Bank) Distribution() []float64 {
-	var out []float64
-	for i := 1; i < len(b.charge); i++ {
-		if !b.depleted[i] {
-			out = append(out, b.charge[i])
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -42,15 +42,15 @@ func TestDrainAndDeath(t *testing.T) {
 
 	b.DrainTx(1) // 1.5 left
 	b.DrainRx(1) // 0.5 left
-	if b.Depleted(1) {
+	if b.depleted[1] {
 		t.Fatal("node died early")
 	}
 	b.DrainTx(1) // depleted
-	if !b.Depleted(1) {
+	if !b.depleted[1] {
 		t.Fatal("node did not die at depletion")
 	}
-	if b.Charge(1) != 0 {
-		t.Fatalf("charge clamped to %v, want 0", b.Charge(1))
+	if b.charge[1] != 0 {
+		t.Fatalf("charge clamped to %v, want 0", b.charge[1])
 	}
 	if len(deaths) != 1 || deaths[0] != 1 {
 		t.Fatalf("death callbacks %v", deaths)
@@ -68,11 +68,11 @@ func TestRootIsMainsPowered(t *testing.T) {
 		b.DrainTx(topology.Root)
 		b.DrainRx(topology.Root)
 	}
-	if b.Depleted(topology.Root) {
+	if b.depleted[topology.Root] {
 		t.Fatal("root depleted")
 	}
-	if b.Charge(topology.Root) != 1 {
-		t.Fatalf("root charge %v changed", b.Charge(topology.Root))
+	if b.charge[topology.Root] != 1 {
+		t.Fatalf("root charge %v changed", b.charge[topology.Root])
 	}
 }
 
@@ -84,11 +84,11 @@ func TestIdleDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.DrainIdleEpoch()
-	if b.Charge(1) != 0.5 || b.Charge(2) != 0.5 {
-		t.Fatalf("idle drain wrong: %v %v", b.Charge(1), b.Charge(2))
+	if b.charge[1] != 0.5 || b.charge[2] != 0.5 {
+		t.Fatalf("idle drain wrong: %v %v", b.charge[1], b.charge[2])
 	}
 	b.DrainIdleEpoch()
-	if !b.Depleted(1) || !b.Depleted(2) {
+	if !b.depleted[1] || !b.depleted[2] {
 		t.Fatal("idle drain did not deplete")
 	}
 	if b.LiveCount() != 1 { // only the root
@@ -106,7 +106,7 @@ func TestSampleDrain(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.DrainSample(1) // 0.2 each
 	}
-	if got := b.Charge(1); got < 0.19 || got > 0.21 {
+	if got := b.charge[1]; got < 0.19 || got > 0.21 {
 		t.Fatalf("charge after 4 samples %v, want ~0.2", got)
 	}
 }
@@ -122,46 +122,17 @@ func TestApplyMeterDelta(t *testing.T) {
 
 	ch.Unicast(1, 2, radio.ClassQuery, nil)
 	prev := b.ApplyMeterDelta(meter, nil)
-	if b.Charge(1) != 99 { // one tx
-		t.Fatalf("node 1 charge %v, want 99", b.Charge(1))
+	if b.charge[1] != 99 { // one tx
+		t.Fatalf("node 1 charge %v, want 99", b.charge[1])
 	}
-	if b.Charge(2) != 99 { // one rx
-		t.Fatalf("node 2 charge %v, want 99", b.Charge(2))
+	if b.charge[2] != 99 { // one rx
+		t.Fatalf("node 2 charge %v, want 99", b.charge[2])
 	}
 
 	// Second delta only drains the new traffic.
 	ch.Unicast(2, 1, radio.ClassQuery, nil)
 	b.ApplyMeterDelta(meter, prev)
-	if b.Charge(1) != 98 || b.Charge(2) != 98 {
-		t.Fatalf("delta application wrong: %v %v", b.Charge(1), b.Charge(2))
-	}
-}
-
-func TestMinChargeAndDistribution(t *testing.T) {
-	b := newBank(t, 4, 10)
-	b.DrainTx(2) // 9
-	b.DrainTx(3)
-	b.DrainTx(3) // 8
-	id, c, ok := b.MinCharge()
-	if !ok || id != 3 || c != 8 {
-		t.Fatalf("MinCharge = %d,%v,%v", id, c, ok)
-	}
-	dist := b.Distribution()
-	if len(dist) != 3 {
-		t.Fatalf("distribution %v", dist)
-	}
-	if dist[0] != 8 || dist[2] != 10 {
-		t.Fatalf("distribution not sorted: %v", dist)
-	}
-}
-
-func TestMinChargeAllDead(t *testing.T) {
-	b := newBank(t, 2, 0.5)
-	b.DrainTx(1)
-	if _, _, ok := b.MinCharge(); ok {
-		t.Fatal("MinCharge ok with all non-root nodes dead")
-	}
-	if len(b.Distribution()) != 0 {
-		t.Fatal("distribution of dead network non-empty")
+	if b.charge[1] != 98 || b.charge[2] != 98 {
+		t.Fatalf("delta application wrong: %v %v", b.charge[1], b.charge[2])
 	}
 }

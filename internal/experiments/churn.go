@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/script"
-	"repro/internal/sim"
 )
 
 // ChurnPoint is the outcome of one failure rate: a scripted cascade of
@@ -58,14 +57,6 @@ func churnScript(horizon int64, kills int) *script.Script {
 	return s
 }
 
-// runScripted executes one scripted run on a pooled engine.
-func runScripted(cfg scenario.Config, s *script.Script) (*script.Result, error) {
-	eng := enginePool.Get().(*sim.Engine)
-	res, err := script.RunWithEngine(cfg, s, eng)
-	enginePool.Put(eng)
-	return res, err
-}
-
 // Churn runs the failure-rate sweep with ATC thresholds, in parallel on
 // the Options.Workers pool.
 func Churn(o Options) (*ChurnResult, error) {
@@ -78,7 +69,7 @@ func churn(o Options, mode scenario.ThresholdMode) (*ChurnResult, error) {
 			kills := churnKills[i]
 			cfg := o.base()
 			cfg.Mode = mode
-			res, err := runScripted(cfg, churnScript(cfg.Epochs, kills))
+			res, err := script.Run(cfg, churnScript(cfg.Epochs, kills))
 			if err != nil {
 				return ChurnPoint{}, err
 			}

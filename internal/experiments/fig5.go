@@ -32,7 +32,7 @@ func Fig5(o Options, coverage float64) (*Fig5Result, error) {
 			cfg.Coverage = coverage
 			cfg.Mode = scenario.FixedDelta
 			cfg.FixedPct = float64(delta)
-			r, err := runScenario(cfg)
+			r, err := scenario.Run(cfg)
 			if err != nil {
 				return Fig5Row{}, err
 			}

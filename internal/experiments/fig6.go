@@ -38,7 +38,7 @@ func Fig6(o Options, coverage float64) (*Fig6Result, error) {
 			cfg.Coverage = coverage
 			cfg.Mode = c.mode
 			cfg.FixedPct = c.pct
-			r, err := runScenario(cfg)
+			r, err := scenario.Run(cfg)
 			if err != nil {
 				return out{}, err
 			}

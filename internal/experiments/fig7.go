@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+
+	"repro/internal/scenario"
 )
 
 // Fig7Series is one overshoot-over-time curve.
@@ -32,7 +34,7 @@ func Fig7(o Options, coverage float64) (*Fig7Result, error) {
 			cfg.Coverage = coverage
 			cfg.Mode = c.mode
 			cfg.FixedPct = c.pct
-			r, err := runScenario(cfg)
+			r, err := scenario.Run(cfg)
 			if err != nil {
 				return Fig7Series{}, err
 			}

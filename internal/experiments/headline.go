@@ -33,7 +33,7 @@ func Headline(o Options) (*HeadlineResult, error) {
 			cfg := o.base()
 			cfg.Coverage = cov
 			cfg.Mode = scenario.ATC
-			r, err := runScenario(cfg)
+			r, err := scenario.Run(cfg)
 			if err != nil {
 				return HeadlineRow{}, err
 			}

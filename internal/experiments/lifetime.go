@@ -47,7 +47,7 @@ func Lifetime(o Options) (*LifetimeResult, error) {
 			cfg.EnergyCapacity = res.Capacity
 			cfg.DisseminateByFlooding = s.floodMode
 			cfg.Mode = s.mode
-			r, err := runScenario(cfg)
+			r, err := scenario.Run(cfg)
 			if err != nil {
 				return LifetimeRow{}, err
 			}

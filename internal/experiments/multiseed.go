@@ -39,7 +39,7 @@ func MultiSeed(o Options, mode scenario.ThresholdMode, coverage float64, seeds i
 			cfg.Seed = o.Seed + uint64(s)
 			cfg.Mode = mode
 			cfg.Coverage = coverage
-			r, err := runScenario(cfg)
+			r, err := scenario.Run(cfg)
 			if err != nil {
 				return sample{}, err
 			}

@@ -96,9 +96,3 @@ func Disseminate(ch *radio.Channel, origin topology.NodeID, msg any) Result {
 	var s Scratch
 	return s.Disseminate(ch, origin, msg)
 }
-
-// CostOnly is the Scratch-free convenience form of Scratch.CostOnly.
-func CostOnly(g *topology.Graph, alive func(topology.NodeID) bool, origin topology.NodeID) radio.Cost {
-	var s Scratch
-	return s.CostOnly(g, alive, origin)
-}

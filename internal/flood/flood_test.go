@@ -107,7 +107,8 @@ func TestCostOnlyAgreesWithDisseminate(t *testing.T) {
 	}
 	ch := radio.NewChannel(g, radio.NewMeter(g.Len()))
 	sim := Disseminate(ch, topology.Root, nil)
-	dry := CostOnly(g, ch.Alive, topology.Root)
+	var s Scratch
+	dry := s.CostOnly(g, ch.Alive, topology.Root)
 	if sim.Cost != dry {
 		t.Fatalf("CostOnly %+v != Disseminate %+v", dry, sim.Cost)
 	}
@@ -116,7 +117,8 @@ func TestCostOnlyAgreesWithDisseminate(t *testing.T) {
 func TestCostOnlyDeadOrigin(t *testing.T) {
 	g, _ := topology.PlaceLine(3, 1)
 	dead := func(topology.NodeID) bool { return false }
-	if c := CostOnly(g, dead, 0); c.Total() != 0 {
+	var s Scratch
+	if c := s.CostOnly(g, dead, 0); c.Total() != 0 {
 		t.Fatalf("cost %+v for dead origin", c)
 	}
 }

@@ -654,23 +654,6 @@ func AssignSlots(g *topology.Graph) ([]int, error) {
 	return slots, nil
 }
 
-// VerifySlots checks the two-hop uniqueness property of a slot assignment.
-func VerifySlots(g *topology.Graph, slots []int) error {
-	for id := 0; id < g.Len(); id++ {
-		for _, nb := range g.Neighbors(topology.NodeID(id)) {
-			if slots[id] == slots[nb] {
-				return fmt.Errorf("lmac: 1-hop slot clash between %d and %d (slot %d)", id, nb, slots[id])
-			}
-			for _, nb2 := range g.Neighbors(nb) {
-				if int(nb2) != id && slots[id] == slots[nb2] {
-					return fmt.Errorf("lmac: 2-hop slot clash between %d and %d (slot %d)", id, nb2, slots[id])
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Init wires the channel listeners for all nodes. Call after constructing
 // the MAC and registering upper-layer receivers.
 func (m *MAC) Init() {

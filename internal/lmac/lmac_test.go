@@ -1,6 +1,7 @@
 package lmac
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -39,7 +40,7 @@ func TestAssignSlotsLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySlots(g, slots); err != nil {
+	if err := verifySlots(g, slots); err != nil {
 		t.Fatal(err)
 	}
 	// On a line, 3 slots suffice (2-hop coloring of a path).
@@ -66,13 +67,13 @@ func TestAssignSlotsDisconnected(t *testing.T) {
 
 func TestVerifySlotsDetectsClash(t *testing.T) {
 	g, _ := topology.PlaceLine(3, 1)
-	if err := VerifySlots(g, []int{0, 1, 0}); err == nil {
+	if err := verifySlots(g, []int{0, 1, 0}); err == nil {
 		t.Fatal("2-hop clash (0 and 2 share slot) not detected")
 	}
-	if err := VerifySlots(g, []int{0, 0, 1}); err == nil {
+	if err := verifySlots(g, []int{0, 0, 1}); err == nil {
 		t.Fatal("1-hop clash not detected")
 	}
-	if err := VerifySlots(g, []int{0, 1, 2}); err != nil {
+	if err := verifySlots(g, []int{0, 1, 2}); err != nil {
 		t.Fatalf("valid assignment rejected: %v", err)
 	}
 }
@@ -358,7 +359,7 @@ func TestPropertySlotAssignment(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifySlots(g, slots) == nil
+		return verifySlots(g, slots) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -413,4 +414,21 @@ func TestMACMulticastCopiesTargets(t *testing.T) {
 	if !got {
 		t.Fatal("queued multicast target list aliased caller slice")
 	}
+}
+
+// verifySlots checks the two-hop uniqueness property of a slot assignment.
+func verifySlots(g *topology.Graph, slots []int) error {
+	for id := 0; id < g.Len(); id++ {
+		for _, nb := range g.Neighbors(topology.NodeID(id)) {
+			if slots[id] == slots[nb] {
+				return fmt.Errorf("lmac: 1-hop slot clash between %d and %d (slot %d)", id, nb, slots[id])
+			}
+			for _, nb2 := range g.Neighbors(nb) {
+				if int(nb2) != id && slots[id] == slots[nb2] {
+					return fmt.Errorf("lmac: 2-hop slot clash between %d and %d (slot %d)", id, nb2, slots[id])
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -109,9 +109,6 @@ func NewWorkload(target float64, rng *sim.RNG) (*Workload, error) {
 	return &Workload{target: target, rng: rng}, nil
 }
 
-// Target returns the configured involvement fraction.
-func (w *Workload) Target() float64 { return w.target }
-
 // SetTarget retargets the involvement fraction mid-stream (scripted
 // selectivity changes). Queries generated after the call aim for the new
 // fraction; the RNG stream is untouched, so the change is deterministic

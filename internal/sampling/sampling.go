@@ -97,9 +97,6 @@ func (p *Predictor) Predict() (v, uncertainty float64) {
 	return p.level + p.trend*steps, p.resid * steps
 }
 
-// Samples returns how many real measurements the predictor has absorbed.
-func (p *Predictor) Samples() int { return p.samples }
-
 // Stats aggregates sampling behaviour.
 type Stats struct {
 	Taken   int64 // physical acquisitions performed

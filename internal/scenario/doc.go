@@ -7,6 +7,6 @@
 // In the repo's layer map this is assembly: the one place the substrate
 // (sim, topology, radio), MAC (lmac), environment (sensordata), protocol
 // (core, atc), workload (query), baseline (flood) and extensions are wired
-// into a runnable whole. experiments and serve both build runs here;
-// BuildWithEngine lets them recycle event engines across runs.
+// into a runnable whole. experiments and serve both build runs here, each
+// run on a fresh event engine from Build.
 package scenario

@@ -356,24 +356,10 @@ type Runner struct {
 
 // Build constructs the simulation without running it.
 func Build(cfg Config) (*Runner, error) {
-	return BuildWithEngine(cfg, nil)
-}
-
-// BuildWithEngine is Build on a caller-supplied event engine, which is
-// Reset before use: a finished run's engine can host the next run without
-// reallocating its queue storage (the experiment sweeps and serving
-// shards use this to recycle engines). A nil engine means build a fresh
-// one. The caller must not touch the engine's previous run afterwards;
-// results are byte-identical to a fresh-engine build.
-func BuildWithEngine(cfg Config, engine *sim.Engine) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if engine == nil {
-		engine = sim.NewEngine()
-	} else {
-		engine.Reset()
-	}
+	engine := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed)
 
 	g, err := topology.PlaceRandom(topology.PlacementConfig{
@@ -430,8 +416,8 @@ func BuildWithEngine(cfg Config, engine *sim.Engine) (*Runner, error) {
 	if cfg.Telemetry != nil {
 		// Central wiring point for every layer's instruments: the metric
 		// name inventory lives here (and is documented in the README).
-		// Registration is idempotent, so recycled engines and restarted
-		// shards re-bind to the counters they already own.
+		// Registration is idempotent, so repeated builds on one registry
+		// and restarted shards re-bind to the counters they already own.
 		reg := cfg.Telemetry
 		engine.SetTelemetry(sim.Telemetry{
 			Scheduled:  reg.Counter("dirq_engine_events_scheduled_total", "Events pushed onto the simulation heap."),

@@ -18,6 +18,17 @@ func TestParseErrorMessages(t *testing.T) {
 			`script: bad JSON: json: unknown field "nope"`,
 		},
 		{
+			// A concatenated file must not silently run its first half.
+			"two concatenated scripts",
+			`{"events":[{"at":1,"op":"kill"}]} {"events":[{"at":-5,"op":"boom"}]}`,
+			`script: bad JSON: trailing data after the script object`,
+		},
+		{
+			"trailing garbage",
+			`{"events":[{"at":1,"op":"kill"}]} x`,
+			`script: bad JSON: invalid character 'x' looking for beginning of value`,
+		},
+		{
 			"unknown event field",
 			`{"events":[{"at":10,"op":"kill","frobnicate":1}]}`,
 			`script: bad JSON: json: unknown field "frobnicate"`,
@@ -130,6 +141,18 @@ func TestParseErrorMessages(t *testing.T) {
 				t.Fatalf("error message drifted:\n got %q\nwant %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseAcceptsTrailingWhitespace: the trailing-data check must not
+// reject the newline an editor leaves at the end of a script file.
+func TestParseAcceptsTrailingWhitespace(t *testing.T) {
+	s, err := Parse([]byte("{\"events\":[{\"at\":1,\"op\":\"kill\"}]}\n \t\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Events) != 1 {
+		t.Fatalf("parsed %d events, want 1", len(s.Events))
 	}
 }
 

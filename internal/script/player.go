@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -352,19 +351,13 @@ func queryCost(r *scenario.Runner) int64 {
 // simulation, firing the timeline on the way. Same cfg + same script ⇒
 // byte-identical Result, whichever way the run is driven.
 func Run(cfg scenario.Config, s *Script) (*Result, error) {
-	return RunWithEngine(cfg, s, nil)
-}
-
-// RunWithEngine is Run on a recycled event engine (nil = fresh), for
-// pooled sweeps like the churn experiment.
-func RunWithEngine(cfg scenario.Config, s *Script, engine *sim.Engine) (*Result, error) {
 	p, err := NewPlayer(s)
 	if err != nil {
 		return nil, err
 	}
 	cfg.DisableWorkload = true
 	cfg.Script = p
-	r, err := scenario.BuildWithEngine(cfg, engine)
+	r, err := scenario.Build(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package script
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -245,13 +247,20 @@ func (s *Script) Expand() ([]Event, error) {
 	return out, nil
 }
 
-// Parse decodes and validates a JSON script. Unknown fields are rejected
-// so typos in hand-written scenario files fail loudly.
+// Parse decodes and validates a JSON script. Unknown fields and anything
+// but whitespace after the script object are rejected, so typos and
+// concatenated or half-edited scenario files fail loudly.
 func Parse(data []byte) (*Script, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Script
 	if err := dec.Decode(&s); err != nil {
+		return nil, fmt.Errorf("script: bad JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the script object")
+		}
 		return nil, fmt.Errorf("script: bad JSON: %w", err)
 	}
 	if err := s.Validate(); err != nil {

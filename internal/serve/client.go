@@ -4,22 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
 // StatusError is a non-2xx reply from the daemon, carrying the HTTP
-// status code so callers (and the client's own retry loop) can branch
-// on it — 429 means backpressure (the shard shed the query), 503 means
-// the daemon is shutting down or degraded.
+// status code so callers can branch on it — 429 means backpressure (the
+// shard shed the query), 503 means the daemon is shutting down or
+// degraded.
 type StatusError struct {
 	// Code is the HTTP status code (e.g. 429).
 	Code int
@@ -38,43 +36,12 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: %s", e.Status)
 }
 
-// retryable reports whether the reply signals transient pressure worth
-// retrying: 429 (admission queue full) or 503 (shutting down mid-drain
-// or briefly degraded).
-func (e *StatusError) retryable() bool {
-	return e.Code == http.StatusTooManyRequests || e.Code == http.StatusServiceUnavailable
-}
-
-// RetryPolicy bounds the client's automatic retries of 429/503 replies.
-// The zero value disables retrying (every call is a single attempt).
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per call, including the
-	// first (values below 1 mean 1 — no retry).
-	MaxAttempts int
-	// BaseBackoff is the wait before the first retry (default 10ms).
-	// Each subsequent retry doubles it, capped at MaxBackoff, and a
-	// deterministic jitter in [0.5, 1.5) de-synchronizes clients that
-	// were shed by the same full queue. A server Retry-After hint longer
-	// than the computed backoff takes precedence.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 1s).
-	MaxBackoff time.Duration
-	// Sleep waits between attempts; nil means time.Sleep. Injectable so
-	// tests can count and fast-forward the waits.
-	Sleep func(time.Duration)
-}
-
 // Client is a small Go client for a dirqd endpoint — the programmatic
 // counterpart of `curl`. The zero value is not usable; construct with
 // NewClient.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry RetryPolicy
-	// jig seeds the deterministic backoff jitter. Shared by WithRetry
-	// copies so concurrent callers keep drawing distinct values; never
-	// wall-clock- or math/rand-derived (the repo bans ambient entropy).
-	jig *atomic.Uint64
+	base string
+	hc   *http.Client
 }
 
 // NewClient targets a dirqd base URL (e.g. "http://127.0.0.1:8080").
@@ -86,16 +53,7 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	return &Client{
 		base: strings.TrimRight(base, "/"),
 		hc:   httpClient,
-		jig:  new(atomic.Uint64),
 	}
-}
-
-// WithRetry returns a copy of the client that retries 429/503 replies
-// under the given policy. The copy shares the underlying http.Client.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	cp := *c
-	cp.retry = p
-	return &cp
 }
 
 // Query submits one range query and waits for the answer.
@@ -151,52 +109,9 @@ func (c *Client) Shards(ctx context.Context) ([]ShardInfo, error) {
 	return infos, nil
 }
 
-// do executes one logical call, retrying 429/503 replies under the
-// client's RetryPolicy with exponential jittered backoff. Each attempt
-// rebuilds the request from the body bytes, so retries are exact.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := c.retry.BaseBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	maxBackoff := c.retry.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = time.Second
-	}
-	sleep := c.retry.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	for attempt := 1; ; attempt++ {
-		err := c.once(ctx, method, path, body, out)
-		var se *StatusError
-		if err == nil || attempt >= attempts || !errors.As(err, &se) || !se.retryable() {
-			return err
-		}
-		wait := time.Duration(float64(backoff) * c.jitter())
-		if se.RetryAfter > wait {
-			wait = se.RetryAfter
-		}
-		sleep(wait)
-		if cerr := ctx.Err(); cerr != nil {
-			// The deadline expired while backing off; surface the last
-			// server verdict rather than a bare context error.
-			return err
-		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// once executes one HTTP attempt and decodes the JSON reply, surfacing
+// do executes one HTTP request and decodes the JSON reply, surfacing
 // non-2xx statuses as *StatusError.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -229,17 +144,4 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return se
 	}
 	return json.Unmarshal(raw, out)
-}
-
-// jitter draws a deterministic factor in [0.5, 1.5) by hashing an
-// atomic counter through a splitmix64 finalizer — uniform enough to
-// de-synchronize retries without math/rand or wall-clock seeding.
-func (c *Client) jitter() float64 {
-	z := c.jig.Add(0x9e3779b97f4a7c15)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return 0.5 + float64(z>>11)/float64(1<<53)
 }

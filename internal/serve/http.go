@@ -175,8 +175,9 @@ func NewHandler(m *Manager, info ...ServerInfo) http.Handler {
 			writeError(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrOverloaded):
 			// Backpressure, not failure: the shard shed the query because
-			// its admission queue is full. Retry-After carries the hint
-			// serve.Client's bounded-backoff retry honors.
+			// its admission queue is full. Retry-After tells the client
+			// when to try again; serve.Client surfaces it as
+			// StatusError.RetryAfter.
 			w.Header().Set("Retry-After", overloadedRetryAfter)
 			writeError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrHorizonReached):

@@ -99,7 +99,8 @@ func (m *Manager) Telemetry() *telemetry.Registry { return m.reg }
 
 // Start launches every shard's scheduler loop. The shards serve until
 // ctx is canceled or Stop is called. Every shard is claimed before
-// Start returns, so a successful Start means Healthy() immediately.
+// Start returns, so a successful Start means every shard reports
+// Running and GET /healthz answers "ok" immediately.
 func (m *Manager) Start(ctx context.Context) error {
 	if !m.started.CompareAndSwap(false, true) {
 		return errors.New("serve: manager already started")
@@ -187,18 +188,4 @@ func (m *Manager) Stats() []ShardStats {
 		out[i] = sh.Stats()
 	}
 	return out
-}
-
-// Healthy reports whether every shard loop is live (always false before
-// Start, and false after Stop or a shard exit).
-func (m *Manager) Healthy() bool {
-	if !m.started.Load() {
-		return false
-	}
-	for _, sh := range m.shards {
-		if !sh.Running() {
-			return false
-		}
-	}
-	return true
 }

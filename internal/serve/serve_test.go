@@ -239,8 +239,10 @@ func TestGracefulShutdown(t *testing.T) {
 			t.Fatalf("query failed with %v, want nil or ErrShuttingDown", err)
 		}
 	}
-	if m.Healthy() {
-		t.Fatal("manager healthy after Stop")
+	for _, sh := range m.Shards() {
+		if sh.Running() {
+			t.Fatalf("shard %q still running after Stop", sh.ID())
+		}
 	}
 	if _, err := m.Query(context.Background(),
 		Request{Type: sensordata.Temperature, Lo: 0, Hi: 1}); !errors.Is(err, ErrShuttingDown) {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/scenario"
 	"repro/internal/script"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -29,8 +28,8 @@ var ErrHorizonReached = errors.New("serve: shard reached its epoch horizon")
 // holds QueueDepth queries: the query is shed immediately instead of
 // queueing without bound. A shed query never enters the admission log,
 // so Replay of the log is unaffected by shedding. The HTTP layer maps
-// this to 429 Too Many Requests with a Retry-After hint, and
-// serve.Client can retry it with bounded jittered backoff.
+// this to 429 Too Many Requests with a Retry-After hint, which
+// serve.Client surfaces as StatusError.RetryAfter.
 var ErrOverloaded = errors.New("serve: admission queue full")
 
 // ShardConfig parameterizes one live shard.
@@ -172,14 +171,6 @@ type shardTelemetry struct {
 // NewShard builds (but does not start) a shard. The scenario's workload
 // is forcibly disabled; queries come only from clients.
 func NewShard(cfg ShardConfig) (*Shard, error) {
-	return NewShardWithEngine(cfg, nil)
-}
-
-// NewShardWithEngine is NewShard on a recycled event engine (nil means
-// build a fresh one): a retired shard's engine — see Shard.Engine — can
-// host a replacement shard without reallocating its queue storage. The
-// donor shard must have stopped serving first.
-func NewShardWithEngine(cfg ShardConfig, engine *sim.Engine) (*Shard, error) {
 	cfg = cfg.withDefaults()
 	if cfg.ID == "" {
 		return nil, errors.New("serve: shard needs an ID")
@@ -189,7 +180,7 @@ func NewShardWithEngine(cfg ShardConfig, engine *sim.Engine) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %q: %w", cfg.ID, err)
 	}
-	runner, err := scenario.BuildWithEngine(cfg.Scenario, engine)
+	runner, err := scenario.Build(cfg.Scenario)
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %q: %w", cfg.ID, err)
 	}
@@ -248,11 +239,6 @@ func (s *Shard) Serve(ctx context.Context) error {
 
 // ID returns the shard's name.
 func (s *Shard) ID() string { return s.cfg.ID }
-
-// Engine exposes the shard's event engine so a finished shard can donate
-// it to a successor via NewShardWithEngine. Only call once the shard has
-// stopped serving (Running reports false).
-func (s *Shard) Engine() *sim.Engine { return s.runner.Engine }
 
 // Config returns the shard's effective (defaulted) configuration.
 func (s *Shard) Config() ShardConfig { return s.cfg }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"weak"
+)
 
 // TestScheduleDispatchAllocFree pins the post-overhaul allocation ceiling
 // of the engine hot path: once the arena is warm, a Schedule + Step cycle
@@ -71,5 +75,46 @@ func TestResetKeepsCapacity(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("reset/reuse cycle allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// scheduleHeavy schedules one event at t whose closure holds the only
+// pointer to a 64 KiB array, and returns a weak pointer to that array. It
+// is a separate function so no stack slot of the caller keeps the array
+// reachable.
+func scheduleHeavy(e *Engine, t Time) (weak.Pointer[[1 << 16]byte], EventID) {
+	big := new([1 << 16]byte)
+	id := e.Schedule(t, func() { big[0]++ })
+	return weak.Make(big), id
+}
+
+// TestRunEventReleasesClosure checks the engine drops every closure it has
+// finished with — after the event runs, after Cancel removes it, and after
+// Reset discards it — so the queue's backing array never pins a finished
+// run's state.
+func TestRunEventReleasesClosure(t *testing.T) {
+	cases := []struct {
+		name   string
+		finish func(e *Engine, id EventID)
+	}{
+		{"run", func(e *Engine, _ EventID) { e.RunUntil(10) }},
+		{"cancel", func(e *Engine, id EventID) {
+			if !e.Cancel(id) {
+				t.Fatal("Cancel returned false for a live event")
+			}
+		}},
+		{"reset", func(e *Engine, _ EventID) { e.Reset() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			wp, id := scheduleHeavy(e, 5)
+			tc.finish(e, id)
+			runtime.GC()
+			if wp.Value() != nil {
+				t.Fatalf("engine still references the closure after %s", tc.name)
+			}
+			runtime.KeepAlive(e)
+		})
 	}
 }

@@ -7,13 +7,14 @@
 // here. The engine keys events by (time, priority, sequence) and pairs with
 // a seeded, splittable random number generator (rng.go), so every
 // simulation run is exactly reproducible from its seed, for any worker
-// count and on any platform.
+// count, on amd64. Other architectures (arm64, ppc64le, s390x, riscv64)
+// may fuse multiply-adds and drift; ROADMAP item 1 tracks that.
 //
-// The event queue is allocation-free in steady state: events live by value
-// in a flat arena addressed by a 4-ary index min-heap, and executed or
-// canceled events return their arena slot to a free list. Engine.Reset
-// rewinds a finished engine for reuse, which lets experiment sweeps and
-// serving shards run many simulations without rebuilding queue storage.
+// The event queue is a binary min-heap of events held by value, so it is
+// allocation-free once the slice has grown to the peak number of pending
+// events (one or two on every shipped workload). Cancel removes its event
+// with a linear search, and every removal clears the vacated slot so the
+// queue never keeps a finished closure alive.
 //
 // Work that is due at every tick (the protocol's epoch sweep, the MAC
 // frame) registers as a ticker (Engine.AddTicker) instead of re-scheduling

@@ -13,17 +13,27 @@ type Time int64
 // Handler is a scheduled simulation action.
 type Handler func()
 
-// event is a single queue entry, stored by value in the engine's arena so
-// scheduling does not allocate once the arena has warmed up. Events with
-// equal time run in ascending priority order; ties break on insertion
-// sequence so execution order is fully deterministic.
+// event is a single queue entry, held by value in the engine's heap so
+// scheduling does not allocate once the heap slice has grown to the peak
+// number of pending events. Events with equal time run in ascending
+// priority order; ties break on insertion sequence so execution order is
+// fully deterministic.
 type event struct {
 	at       Time
 	priority int
 	seq      uint64
 	fn       Handler
-	gen      uint32 // bumped every time the arena slot is recycled
-	canceled bool
+}
+
+// before orders two events by (at, priority, seq).
+func (x *event) before(y *event) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	if x.priority != y.priority {
+		return x.priority < y.priority
+	}
+	return x.seq < y.seq
 }
 
 // EventID identifies a scheduled event so it can be canceled. The zero
@@ -31,8 +41,7 @@ type event struct {
 // and Cancel on it a no-op — once the event has run, been canceled, or the
 // engine has been Reset.
 type EventID struct {
-	idx int32 // arena index + 1; 0 means "no event"
-	gen uint32
+	seq uint64 // the event's seq + 1; 0 means "no event"
 }
 
 // ticker is a handler that runs at every clock tick. Tickers exist so
@@ -52,15 +61,12 @@ type ticker struct {
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with NewEngine.
 //
-// Internally the queue is a 4-ary min-heap of indices into a flat event
-// arena with a free list, so steady-state Schedule/Step cycles perform no
-// heap allocations: one simulation epoch reuses the slots freed by the
-// previous one.
+// Internally the queue is a binary min-heap of events held by value, so
+// steady-state Schedule/Step cycles perform no heap allocations once the
+// slice has grown to the peak number of pending events.
 type Engine struct {
 	now     Time
-	events  []event // arena; slots are recycled through free
-	free    []int32 // arena slots available for reuse
-	heap    []int32 // 4-ary min-heap of arena indices, keyed (at, priority, seq)
+	heap    []event // binary min-heap keyed (at, priority, seq)
 	tickers []ticker
 	seq     uint64
 	stopped bool
@@ -88,8 +94,7 @@ type Telemetry struct {
 }
 
 // SetTelemetry binds (or, with the zero value, unbinds) the engine's
-// instruments. Reset clears the binding, so a recycled engine must be
-// re-bound by its next owner.
+// instruments. Reset clears the binding.
 func (e *Engine) SetTelemetry(t Telemetry) { e.tel = t }
 
 // NewEngine returns an engine with the clock at 0 and an empty queue.
@@ -103,26 +108,20 @@ func (e *Engine) Now() Time { return e.now }
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Pending returns the number of events currently queued (including
-// canceled-but-unpopped events).
+// Pending returns the number of events currently queued.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // Reset returns the engine to its initial state — clock at 0, empty queue,
-// zero step count, not stopped — while keeping the arena, free list and
-// heap capacity, so a pooled engine can host a new simulation run without
-// reallocating its queue. EventIDs issued before the Reset must be
-// discarded; canceling them afterwards has unspecified (but memory-safe)
-// effects on the new run.
+// no tickers, zero step count, not stopped — while keeping the heap's
+// capacity. The sequence counter is not rewound: ordering reads only
+// relative sequence numbers, and an EventID issued before the Reset can
+// never match a later event.
 func (e *Engine) Reset() {
-	for i := range e.events {
-		e.events[i].fn = nil // release closure references to the old run
-	}
-	e.events = e.events[:0]
-	e.free = e.free[:0]
+	clear(e.heap) // release closure references to the old run
 	e.heap = e.heap[:0]
+	clear(e.tickers)
 	e.tickers = e.tickers[:0]
 	e.now = 0
-	e.seq = 0
 	e.steps = 0
 	e.stopped = false
 	e.running = false
@@ -153,82 +152,55 @@ func (e *Engine) AddTicker(prio int, fn Handler) {
 	e.tickers[i] = ticker{prio: prio, next: e.now, fn: fn}
 }
 
-// less orders two arena slots by (at, priority, seq).
-func (e *Engine) less(a, b int32) bool {
-	x, y := &e.events[a], &e.events[b]
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	if x.priority != y.priority {
-		return x.priority < y.priority
-	}
-	return x.seq < y.seq
-}
-
-// siftUp restores the heap property from leaf position i upward.
+// siftUp restores the heap property from position i upward.
 func (e *Engine) siftUp(i int) {
 	h := e.heap
-	idx := h[i]
+	ev := h[i]
 	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(idx, h[parent]) {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = idx
+	h[i] = ev
 }
 
-// siftDown restores the heap property from the root downward.
-func (e *Engine) siftDown() {
+// siftDown restores the heap property from position i downward.
+func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	i := 0
-	idx := h[0]
+	ev := h[i]
 	for {
-		first := 4*i + 1
-		if first >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
 		}
-		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !e.less(h[best], idx) {
+		if !h[c].before(&ev) {
 			break
 		}
-		h[i] = h[best]
-		i = best
+		h[i] = h[c]
+		i = c
 	}
-	h[i] = idx
+	h[i] = ev
 }
 
-// alloc returns a free arena slot, growing the arena only when the free
-// list is empty.
-func (e *Engine) alloc() int32 {
-	if n := len(e.free); n > 0 {
-		idx := e.free[n-1]
-		e.free = e.free[:n-1]
-		return idx
+// remove deletes the heap entry at position i: the last entry takes its
+// place, and the vacated slot is cleared so the heap's backing array does
+// not keep the removed closure alive.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	e.heap[i] = e.heap[n]
+	e.heap[n] = event{}
+	e.heap = e.heap[:n]
+	if i < n {
+		e.siftDown(i)
+		e.siftUp(i)
 	}
-	e.events = append(e.events, event{})
-	return int32(len(e.events) - 1)
-}
-
-// release recycles an arena slot: the closure reference is dropped and the
-// generation bumped so stale EventIDs can no longer address it.
-func (e *Engine) release(idx int32) {
-	ev := &e.events[idx]
-	ev.fn = nil
-	ev.gen++
-	e.free = append(e.free, idx)
 }
 
 // Schedule enqueues fn to run at absolute time at with priority 0.
@@ -251,82 +223,47 @@ func (e *Engine) SchedulePrio(at Time, priority int, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: schedule nil handler")
 	}
-	idx := e.alloc()
-	ev := &e.events[idx]
-	ev.at = at
-	ev.priority = priority
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.canceled = false
+	e.heap = append(e.heap, event{at: at, priority: priority, seq: e.seq, fn: fn})
 	e.seq++
-	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
 	e.tel.Scheduled.Inc()
 	e.tel.HeapPeak.SetMax(int64(len(e.heap)))
-	return EventID{idx: idx + 1, gen: ev.gen}
+	return EventID{seq: e.seq}
 }
 
 // Cancel removes a scheduled event. Canceling an already-run or
 // already-canceled event is a no-op. Reports whether the event was live.
+// The search is linear in the number of pending events, which is tiny
+// for every run this engine hosts.
 func (e *Engine) Cancel(id EventID) bool {
-	if id.idx == 0 || int(id.idx) > len(e.events) {
+	if id.seq == 0 {
 		return false
 	}
-	ev := &e.events[id.idx-1]
-	if ev.gen != id.gen || ev.canceled || ev.fn == nil {
-		return false
+	for i := range e.heap {
+		if e.heap[i].seq == id.seq-1 {
+			e.remove(i)
+			return true
+		}
 	}
-	ev.canceled = true
-	return true
-}
-
-// pop removes and returns the earliest heap entry. The caller must ensure
-// the heap is non-empty.
-func (e *Engine) pop() int32 {
-	idx := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown()
-	}
-	return idx
+	return false
 }
 
 // Step executes the single earliest pending event. It reports false when the
 // queue is empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped || len(e.heap) == 0 {
-			return false
-		}
-		idx := e.pop()
-		ev := &e.events[idx]
-		if ev.canceled {
-			e.release(idx)
-			continue
-		}
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		at, fn := ev.at, ev.fn
-		// Recycle the slot before running the handler: handlers routinely
-		// schedule follow-up events, and reusing the just-freed slot keeps
-		// the arena at the size of the peak concurrent event count.
-		e.release(idx)
-		e.now = at
-		e.steps++
-		e.tel.Dispatched.Inc()
-		fn()
-		return true
+	if e.stopped || len(e.heap) == 0 {
+		return false
 	}
-}
-
-// peel discards canceled events at the heap head.
-func (e *Engine) peel() {
-	for len(e.heap) > 0 && e.events[e.heap[0]].canceled {
-		e.release(e.pop())
+	ev := e.heap[0]
+	e.remove(0)
+	if ev.at < e.now {
+		panic("sim: time went backwards")
 	}
+	e.now = ev.at
+	e.steps++
+	e.tel.Dispatched.Inc()
+	ev.fn()
+	return true
 }
 
 // runAt executes, in priority order, every ticker due at time t and every
@@ -336,15 +273,14 @@ func (e *Engine) runAt(t Time) {
 	e.running = true
 	ti := 0
 	for !e.stopped {
-		e.peel()
 		// Skip tickers not yet due (registered mid-run for a later tick).
 		for ti < len(e.tickers) && e.tickers[ti].next > t {
 			ti++
 		}
-		headReady := len(e.heap) > 0 && e.events[e.heap[0]].at == t
+		headReady := len(e.heap) > 0 && e.heap[0].at == t
 		switch {
 		case ti < len(e.tickers) &&
-			(!headReady || e.tickers[ti].prio <= e.events[e.heap[0]].priority):
+			(!headReady || e.tickers[ti].prio <= e.heap[0].priority):
 			tk := &e.tickers[ti]
 			tk.next = t + 1
 			ti++
@@ -364,11 +300,10 @@ func (e *Engine) runAt(t Time) {
 // nextWork returns the earliest time at which a ticker or a queued event is
 // due; ok is false when nothing is pending at all.
 func (e *Engine) nextWork() (Time, bool) {
-	e.peel()
 	ok := false
 	var next Time
 	if len(e.heap) > 0 {
-		next, ok = e.events[e.heap[0]].at, true
+		next, ok = e.heap[0].at, true
 	}
 	for i := range e.tickers {
 		if !ok || e.tickers[i].next < next {
@@ -384,7 +319,6 @@ func (e *Engine) nextWork() (Time, bool) {
 // Run returns.
 func (e *Engine) Run() {
 	for !e.stopped {
-		e.peel()
 		if len(e.heap) == 0 {
 			return
 		}

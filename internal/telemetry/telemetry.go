@@ -207,7 +207,7 @@ type series struct {
 
 // Registry owns a set of metric series. Registration is idempotent: the
 // same (name, labels) returns the same instrument, so rebuilding a
-// simulation on a recycled engine (or restarting a shard) re-binds to the
+// simulation on a shared registry (or restarting a shard) re-binds to the
 // counters it already owns instead of losing or duplicating them.
 // Registration takes a lock; instrument writes do not.
 type Registry struct {
