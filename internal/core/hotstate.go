@@ -136,6 +136,12 @@ func (p *Protocol) rebuildTickList(i int, member bool) {
 
 // refreshWindow re-arms one gated (node, type) pair's sweep window from
 // the node's current own tuple.
+//
+// For every live, deployed, gated node and mounted type the window mirrors
+// the range table: (lo, hi) equals Own() when the node has an own tuple,
+// and is the always-active sentinel (+Inf, -Inf) when it has none. Only
+// OnReading moves an own tuple, and every OnReading on the gated path is
+// followed by this call. applyActive's in-window skip rests on it.
 func (p *Protocol) refreshWindow(i int, t sensordata.Type) {
 	h := &p.hot
 	if rt := p.nodes[i].tables[t]; rt != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/lmac"
@@ -293,15 +294,7 @@ func (p *Protocol) RunEpoch() {
 		p.emitEstimateIfDue(now)
 		return
 	}
-	// The worklist is ascending, so processing order — and with it trace
-	// order and each node's MAC queue content — matches the classic full
-	// sweep exactly.
-	h.active = p.gen.ActiveSweep(&h.lo, &h.hi, h.mask, h.active[:0])
-	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(h.active)))
-	p.cfg.Telemetry.ActiveNodes.Add(int64(len(h.active)))
-	for _, ai := range h.active {
-		p.applyActive(int(ai))
-	}
+	p.sweepApply()
 	// The epoch clocks of gated controllers that still count epochs (the
 	// static-index freeze schedule) keep ticking even on quiet epochs.
 	for _, ti := range h.tickList {
@@ -314,26 +307,52 @@ func (p *Protocol) RunEpoch() {
 	p.emitEstimateIfDue(now)
 }
 
+// sweepApply builds the epoch's worklist with the activity sweep and runs
+// each listed node's step. The worklist is ascending, so processing order
+// — and with it trace order and each node's MAC queue content — matches
+// the classic full sweep exactly.
+func (p *Protocol) sweepApply() {
+	h := &p.hot
+	h.active = p.gen.ActiveSweep(&h.lo, &h.hi, h.mask, h.active[:0])
+	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(h.active)))
+	p.cfg.Telemetry.ActiveNodes.Add(int64(len(h.active)))
+	for _, ai := range h.active {
+		p.applyActive(int(ai))
+	}
+}
+
 // applyActive is one worklist node's epoch step: a gated node reads and
 // re-arms only the types the sweep flagged, an ungated node takes the
 // classic per-node step. Dead and undeployed nodes are skipped.
+//
+// A gated node's flagged reading that lands inside its window is dropped
+// without touching the node. That is exact: the window mirrors the own
+// tuple (see refreshWindow), so OnReading would find the reading inside
+// [THmin, THmax] and change no range table, and the only other state it
+// feeds, the volatility estimate, is never read by a gated node's
+// controller — quiet epochs skip it already. The always-active sentinel
+// (+Inf, -Inf) contains no reading, so a pair without an own tuple still
+// takes OnReading.
 func (p *Protocol) applyActive(i int) {
 	h := &p.hot
 	id := topology.NodeID(i)
 	if !p.channel.Alive(id) || !h.deployed[i] {
 		return
 	}
-	node := p.nodes[i]
 	if !h.gate[i] {
 		p.sampleNodeClassic(i)
 		return
 	}
-	mask := h.mask[i]
-	for _, t := range node.Mounted().Types() {
-		if mask&(1<<uint(t)) == 0 {
+	// The sweep flags only mounted types (unmounted pairs hold the
+	// never-active window), and set bits come out in ascending type order,
+	// as Mounted().Types() would list them.
+	for mask := h.mask[i]; mask != 0; mask &= mask - 1 {
+		t := sensordata.Type(bits.TrailingZeros8(mask))
+		v := p.gen.Value(id, t)
+		if h.lo[t][i] <= v && v <= h.hi[t][i] {
 			continue
 		}
-		node.OnReading(t, p.gen.Value(id, t))
+		p.nodes[i].OnReading(t, v)
 		p.refreshWindow(i, t)
 	}
 	// The controller tick, if any, happens via tickList in RunEpoch.

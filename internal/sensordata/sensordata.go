@@ -454,14 +454,31 @@ func (g *Generator) stepType(t Type) {
 		}
 		motion += b
 	}
-	for i := range f.noise {
-		f.noise[i] = p.NoisePhi*f.noise[i] + f.rng.NormFloat64()*p.NoiseSigma
+	// The innovations are drawn a stack block at a time; NormFloat64s
+	// yields exactly the per-node NormFloat64 sequence.
+	var z [noiseBlock]float64
+	for noise := f.noise; len(noise) > 0; {
+		zb := z[:min(len(noise), noiseBlock)]
+		f.rng.NormFloat64s(zb)
+		for j := range zb {
+			noise[j] = p.NoisePhi*noise[j] + zb[j]*p.NoiseSigma
+		}
+		noise = noise[len(zb):]
 	}
 	f.cumBound += motion
 }
 
-// reflect folds v back into [0, limit].
+// noiseBlock is how many AR(1) innovations stepType draws per block.
+const noiseBlock = 256
+
+// reflect folds v back into [0, limit]. Within 2·limit of the area the
+// loop makes at most one pass; further out v is first reduced modulo the
+// 2·limit period, so even a huge drift returns at once. NaN and ±Inf come
+// back as NaN.
 func reflect(v, limit float64) float64 {
+	if math.Abs(v) > 2*limit {
+		v = math.Mod(v, 2*limit)
+	}
 	for v < 0 || v > limit {
 		if v < 0 {
 			v = -v

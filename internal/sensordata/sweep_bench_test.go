@@ -53,3 +53,15 @@ func benchSweep(b *testing.B, n int, halfActive bool) {
 	}
 	b.ReportMetric(float64(len(dst)), "active/op")
 }
+
+// BenchmarkGeneratorStep times one epoch of field stepping at 25 000
+// nodes: plume drift plus one AR(1) noise draw per (node, type), with no
+// field evaluation.
+func BenchmarkGeneratorStep(b *testing.B) {
+	g := NewGenerator(refPositions(25000, 1), sim.NewRNG(1).Stream("data"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		g.Step()
+	}
+}

@@ -62,17 +62,25 @@ func (r *RNG) StreamN(name string, n int) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// xoshiro is one xoshiro256** step on a state held in values: it returns
+// the output and the advanced state. Uint64 and NormFloat64s share it.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -92,9 +100,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps a raw draw to [0, 1) through its top 53 bits.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
@@ -104,14 +113,72 @@ func (r *RNG) Range(lo, hi float64) float64 {
 // NormFloat64 returns a standard-normal variate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
+		u, s := polarPair(r.Uint64(), r.Uint64())
+		if polarAccept(s) {
+			return polarScale(u, s)
 		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
+}
+
+// The three steps of the polar method, shared by NormFloat64 and
+// NormFloat64s so both produce the same bits: a candidate point (u, v) in
+// the square [-1, 1)² from two raw draws, with s = u² + v²; acceptance iff
+// the point lies strictly inside the unit disc and off the origin; and the
+// transform of an accepted (u, s) into a standard-normal variate.
+
+func polarPair(a, b uint64) (u, s float64) {
+	u = 2*unit(a) - 1
+	v := 2*unit(b) - 1
+	return u, u*u + v*v
+}
+
+// polarAccept tests 0 < s < 1 as one unsigned compare of the bit
+// patterns, which order like the values for the non-negative, non-NaN s
+// that polarPair yields; the kernel's acceptance count then needs no
+// branch.
+func polarAccept(s float64) bool {
+	return math.Float64bits(s)-1 < math.Float64bits(1)-1
+}
+
+func polarScale(u, s float64) float64 { return u * math.Sqrt(-2*math.Log(s)/s) }
+
+// normBlock is how many accepted polar pairs NormFloat64s buffers on the
+// stack before transforming them.
+const normBlock = 256
+
+// NormFloat64s fills dst with standard-normal variates: exactly the values,
+// in order, that len(dst) successive NormFloat64 calls would return, and it
+// leaves the generator in the same state they would.
+//
+// It works in blocks. The first pass draws candidate pairs with the xoshiro
+// state held in locals and stores every candidate, advancing the output
+// index only on acceptance, so no data-dependent branch guards the store.
+// The second pass transforms the block with independent iterations, so the
+// divisions, logarithms and square roots of neighbouring variates overlap.
+func (r *RNG) NormFloat64s(dst []float64) {
+	var sb [normBlock]float64
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for len(dst) > 0 {
+		blk := dst[:min(len(dst), normBlock)]
+		sv := sb[:len(blk)]
+		for k := 0; k < len(blk); {
+			var a, b uint64
+			a, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			b, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			u, s := polarPair(a, b)
+			blk[k], sv[k] = u, s
+			inc := 0
+			if polarAccept(s) {
+				inc = 1
+			}
+			k += inc
+		}
+		for j := range blk {
+			blk[j] = polarScale(blk[j], sv[j])
+		}
+		dst = dst[len(blk):]
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // ExpFloat64 returns an exponentially distributed variate with mean 1.
