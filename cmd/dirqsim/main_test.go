@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -105,7 +106,9 @@ func TestJSONSchema(t *testing.T) {
 // invocation. Regenerate with `go test ./cmd/dirqsim -run Golden -update`
 // after an intentional output change. Byte comparison only runs on amd64:
 // FMA fusing can legally alter float results on other architectures (the
-// schema test above still covers them).
+// schema test above still covers them). Even on amd64 the bytes hold only
+// where math.Exp takes its FMA path (CPUs with AVX and FMA), which the
+// failure message reports.
 func TestJSONGolden(t *testing.T) {
 	bin := buildBinary(t)
 	out, err := exec.Command(bin, goldenArgs...).Output()
@@ -130,7 +133,21 @@ func TestJSONGolden(t *testing.T) {
 		t.Skipf("byte-exact golden comparison pinned to amd64 (running on %s)", runtime.GOARCH)
 	}
 	if !bytes.Equal(out, want) {
-		t.Fatalf("-json output drifted from golden (rerun with -update if intentional)\n got: %s\nwant: %s", out, want)
+		t.Fatalf("-json output drifted from golden (rerun with -update if intentional); this host's math.Exp takes %s\n got: %s\nwant: %s", expPath(), out, want)
+	}
+}
+
+// expPath names the path of amd64's math.Exp assembly this host takes,
+// from its result on an argument where the FMA and non-FMA paths round
+// apart. The golden file was made on the FMA path.
+func expPath() string {
+	switch math.Float64bits(math.Exp(-0.009983)) {
+	case 0x3fefaea0493d4c1b:
+		return "the FMA path, on which the golden file was made"
+	case 0x3fefaea0493d4c1a:
+		return "the non-FMA path (no AVX+FMA, or GODEBUG=cpu.fma=off), on which the golden file does not hold"
+	default:
+		return "neither path of the amd64 assembly"
 	}
 }
 

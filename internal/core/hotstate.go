@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/sensordata"
+	"repro/internal/topology"
 )
 
 // hotState is the protocol-owned struct-of-arrays view of everything the
@@ -46,6 +47,9 @@ type hotState struct {
 	active   []int32
 	mask     []uint8
 	disabled bool // DisableGating: every mounted pair stays always-active
+
+	// evalIDs is sweepApply's scratch list of one type's flagged nodes.
+	evalIDs []topology.NodeID
 }
 
 func (h *hotState) init(n int, disabled bool) {
@@ -58,6 +62,7 @@ func (h *hotState) init(n int, disabled bool) {
 	}
 	h.mask = make([]uint8, n)
 	h.active = make([]int32, 0, n)
+	h.evalIDs = make([]topology.NodeID, 0, n)
 }
 
 var (

@@ -316,8 +316,37 @@ func (p *Protocol) sweepApply() {
 	h.active = p.gen.ActiveSweep(&h.lo, &h.hi, h.mask, h.active[:0])
 	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(h.active)))
 	p.cfg.Telemetry.ActiveNodes.Add(int64(len(h.active)))
+	if batchEval && p.cfg.Sampler == nil {
+		p.evalFlagged()
+	}
 	for _, ai := range h.active {
 		p.applyActive(int(ai))
+	}
+}
+
+// batchEval switches sweepApply's batched field evaluation; it is a
+// variable only so that tests can compare against the unbatched loop.
+var batchEval = true
+
+// evalFlagged evaluates, one type at a time through the generator's batch
+// path, every flagged pair of the live, deployed worklist nodes. These are
+// exactly the pairs applyActive then reads when no sample gate is
+// installed: a gated node reads its flagged types, and an ungated node
+// reads every mounted type, each of which its always-active window flags.
+// So values and evaluation counts are those of the lazy reads it replaces.
+func (p *Protocol) evalFlagged() {
+	h := &p.hot
+	for _, t := range sensordata.AllTypes() {
+		bit := uint8(1) << uint(t)
+		ids := h.evalIDs[:0]
+		for _, ai := range h.active {
+			i := int(ai)
+			if h.mask[i]&bit != 0 && h.deployed[i] && p.channel.Alive(topology.NodeID(i)) {
+				ids = append(ids, topology.NodeID(i))
+			}
+		}
+		h.evalIDs = ids
+		p.gen.EvalNodes(t, ids)
 	}
 }
 

@@ -133,8 +133,9 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 	value := func(id topology.NodeID) float64 { return gen.Value(id, qt) }
 
 	// The candidates are exactly the nodes a probe tests: non-root tree
-	// members that mount this type. Each is read once, here, and every
-	// probe scans the readings; the window is centred on a random one.
+	// members that mount this type. Each is read once, here, after one
+	// batched evaluation of the stale ones, and every probe scans the
+	// readings; the window is centred on a random one.
 	candidates := w.cand[:0]
 	for i := range mounted {
 		id := topology.NodeID(i)
@@ -147,6 +148,7 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 		w.vals = make([]float64, len(candidates))
 	}
 	w.vals = w.vals[:len(candidates)]
+	gen.EvalNodes(qt, candidates)
 	for k, id := range candidates {
 		w.vals[k] = value(id)
 	}

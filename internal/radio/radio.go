@@ -124,6 +124,7 @@ type Channel struct {
 	meter       *Meter
 	receivers   []Receiver
 	alive       []bool
+	aliveVer    uint64 // power flips so far; see AliveVersion
 	lossProb    float64
 	lossRNG     *sim.RNG
 	aliveChange func(id topology.NodeID, alive bool)
@@ -180,13 +181,21 @@ func (ch *Channel) Listen(id topology.NodeID, r Receiver) {
 // SetAlive marks a node as powered (true) or dead (false). Dead nodes
 // neither transmit nor receive.
 func (ch *Channel) SetAlive(id topology.NodeID, alive bool) {
-	if ch.alive[id] != alive && ch.aliveChange != nil {
+	if ch.alive[id] == alive {
+		return
+	}
+	if ch.aliveChange != nil {
 		// Notify before mutating: the MAC snapshots its virtualized
 		// liveness bookkeeping against the pre-change power state.
 		ch.aliveChange(id, alive)
 	}
 	ch.alive[id] = alive
+	ch.aliveVer++
 }
+
+// AliveVersion counts the power flips SetAlive has made. Anything computed
+// from the liveness flags alone stays valid while it is unchanged.
+func (ch *Channel) AliveVersion() uint64 { return ch.aliveVer }
 
 // OnAliveChange registers a hook invoked whenever a node's power state is
 // about to flip (the flag still holds the old value during the call). The

@@ -128,6 +128,35 @@ func TestAliveQuery(t *testing.T) {
 	}
 }
 
+// TestAliveVersionCountsFlips: the liveness version moves on every power
+// flip and only then, so a cache keyed on it sees each change.
+func TestAliveVersionCountsFlips(t *testing.T) {
+	ch, _ := lineChannel(t, 3)
+	calls := 0
+	ch.OnAliveChange(func(topology.NodeID, bool) { calls++ })
+	for k, step := range []struct {
+		id    topology.NodeID
+		alive bool
+		ver   uint64
+	}{
+		{1, true, 0},  // already alive: no flip
+		{1, false, 1}, // flip
+		{1, false, 1}, // already dead
+		{2, false, 2},
+		{1, true, 3},
+		{2, true, 4},
+		{2, true, 4},
+	} {
+		ch.SetAlive(step.id, step.alive)
+		if got := ch.AliveVersion(); got != step.ver {
+			t.Fatalf("step %d: version %d, want %d", k, got, step.ver)
+		}
+		if uint64(calls) != step.ver {
+			t.Fatalf("step %d: %d change notifications for %d flips", k, calls, step.ver)
+		}
+	}
+}
+
 func TestPerNodeCosts(t *testing.T) {
 	ch, m := lineChannel(t, 3)
 	ch.Unicast(0, 1, ClassQuery, nil)

@@ -343,6 +343,7 @@ type Runner struct {
 	gate       *sampling.Gate
 	bank       *energy.Bank
 	floodBFS   flood.Scratch
+	floodCache floodCache
 	prevCosts  []radio.Cost
 	firstDeath int64
 	workload   *query.Workload
@@ -567,9 +568,29 @@ func (r *Runner) Inject(q query.Query, truth query.GroundTruth) (rec *core.Query
 		r.records = append(r.records, rec)
 	}
 	r.queries++
-	floodCost = r.floodBFS.CostOnly(r.Graph, r.Channel.Alive, topology.Root).Total()
+	floodCost = r.floodTotal()
 	r.flooded += floodCost
 	return rec, floodCost
+}
+
+// floodCache holds the flooding baseline's cost for one liveness version
+// of the channel.
+type floodCache struct {
+	valid bool
+	ver   uint64
+	total int64
+}
+
+// floodTotal is what flooding one query from the root costs now. The
+// graph's edges are fixed once Build returns, so the cost changes only
+// when a node's power flips; the whole-graph BFS reruns only then.
+func (r *Runner) floodTotal() int64 {
+	c := &r.floodCache
+	if v := r.Channel.AliveVersion(); !c.valid || c.ver != v {
+		c.total = r.floodBFS.CostOnly(r.Graph, r.Channel.Alive, topology.Root).Total()
+		c.valid, c.ver = true, v
+	}
+	return c.total
 }
 
 // NextWorkloadQuery draws the next query from the built-in workload

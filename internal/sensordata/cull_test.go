@@ -18,11 +18,9 @@ func culledPairs(g *Generator, ty Type) (culled, total int) {
 	f := g.fields[ty]
 	day := f.day(g.epoch)
 	for i, pos := range g.positions {
-		base := f.params.Base + day + f.noise[i] + f.bias[i]
-		for _, pl := range f.plumes {
-			dx, dy := pos.X-pl.x, pos.Y-pl.y
-			q := (dx*dx + dy*dy) / (2 * pl.sigma * pl.sigma)
-			if q > pl.cullQ && negligible(base, pl.lnAmp, q) {
+		slack := cullSlack(f.pairBase(i, day))
+		for j := range f.plumes {
+			if _, keep := f.plumes[j].expArg(pos, slack); !keep {
 				culled++
 			}
 			total++
@@ -141,7 +139,7 @@ func TestNegligibleNeverChangesSum(t *testing.T) {
 			q = thr + rng.Range(-1e-9, 1e-9)
 		}
 		tried++
-		if !negligible(base, lnAmp, q) {
+		if !negligible(cullSlack(base), lnAmp, q) {
 			continue
 		}
 		skipped++
@@ -168,23 +166,37 @@ func TestNegligibleNeverChangesSum(t *testing.T) {
 // (node, type) once at a fresh epoch. paper-50 is the paper's 100 m field,
 // where every plume is near every node and nothing is culled, so it shows
 // the cull's overhead; scale-2k is ScaleDefault(2000)'s 632 m field, where
-// most (node, plume) terms are culled.
+// most (node, plume) terms are culled. Each field runs as single lazy
+// Value calls and as one EvalNodes batch per type.
 func BenchmarkFieldEval(b *testing.B) {
-	b.Run("paper-50", func(b *testing.B) { benchFieldEval(b, refPositions(50, 1)) })
-	b.Run("scale-2k", func(b *testing.B) { benchFieldEval(b, refPositionsIn(2000, 1, scaleSide)) })
+	for _, c := range []struct {
+		name string
+		pos  []topology.Position
+	}{{"paper-50", refPositions(50, 1)}, {"scale-2k", refPositionsIn(2000, 1, scaleSide)}} {
+		b.Run(c.name+"/single", func(b *testing.B) { benchFieldEval(b, c.pos, false) })
+		b.Run(c.name+"/batch", func(b *testing.B) { benchFieldEval(b, c.pos, true) })
+	}
 }
 
-func benchFieldEval(b *testing.B, pos []topology.Position) {
+func benchFieldEval(b *testing.B, pos []topology.Position, batch bool) {
 	g := NewGenerator(pos, sim.NewRNG(1).Stream("data"))
+	ids := make([]topology.NodeID, len(pos))
+	for i := range ids {
+		ids[i] = topology.NodeID(i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		// Stepping outside the timer would dominate at small b.N; a fresh
-		// epoch stamp alone makes every Value re-evaluate.
+		// epoch stamp alone makes every pair stale.
 		g.epoch++
 		for _, ty := range AllTypes() {
-			for i := range pos {
-				g.Value(topology.NodeID(i), ty)
+			if batch {
+				g.EvalNodes(ty, ids)
+				continue
+			}
+			for _, id := range ids {
+				g.Value(id, ty)
 			}
 		}
 	}

@@ -24,4 +24,14 @@
 // diurnal/noise/bias terms plus an accumulated bound on plume motion — in
 // one pass over every pair, so a quiescent network evaluates nothing and
 // pays only that scan on top of Step's per-pair noise draw.
+//
+// Callers that know which pairs they will read evaluate them in one batch
+// with EvalNodes: core before its epoch worklist is applied, query before
+// it reads a query's candidates. The batch works type-major on chunks of
+// nodes, computing each stale pair's base, exponent arguments and cull
+// decisions as the single-pair path does, then all surviving exponentials
+// in one vector pass (sim.Exps), then each node's sum in plume order. So
+// values, snapshots and the evaluation count are bit for bit those of the
+// lazy reads it replaces, and the per-node loop stays the unbatched
+// oracle.
 package sensordata

@@ -3,6 +3,7 @@ package sensordata
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -144,15 +145,21 @@ const (
 )
 
 // negligible reports whether adding amp·exp(−q), 0 < amp < 2^59, to any
-// sum v >= base leaves v bit-for-bit unchanged: the term is below
-// ulp(base)/4 <= ulp(v)/4, so round-to-nearest returns v. It is false
-// whenever base is not a positive normal number of at least 2^-959.
-func negligible(base, lnAmp, q float64) bool {
+// sum v >= base leaves v bit-for-bit unchanged, given slack =
+// cullSlack(base): the term is below ulp(base)/4 <= ulp(v)/4, so
+// round-to-nearest returns v. It is false whenever base is not a positive
+// normal number of at least 2^-959.
+func negligible(slack, lnAmp, q float64) bool { return q > lnAmp+1+slack }
+
+// cullSlack is the base's part of negligible's threshold, (1077−e)·ln 2
+// for biased exponent e, or +Inf where culling is off, which no q
+// exceeds. Evaluation computes it once per node.
+func cullSlack(base float64) float64 {
 	e := int(math.Float64bits(base)>>52) & 0x7ff
 	if !(base > 0) || e < cullMinExp || e == 0x7ff {
-		return false
+		return math.Inf(1)
 	}
-	return q > lnAmp+1+float64(1077-e)*math.Ln2
+	return float64(1077-e) * math.Ln2
 }
 
 // typeField is the per-sensor-type field state.
@@ -214,6 +221,7 @@ type Generator struct {
 	snapPlume []float64 // plume-sum component recorded at that evaluation
 	snapCum   []float64 // cumBound at that evaluation; -Inf = no usable snapshot
 	evals     uint64    // total per-(node, type) field evaluations
+	scratch   evalScratch
 
 	tel Telemetry
 }
@@ -311,6 +319,9 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 		// ShiftBase and ScaleDynamics never rebuild them. Every amplitude is
 		// positive (PlumeAmp > 0 for every type, times U(0.6, 1.4)); eval's
 		// far-plume culling relies on it.
+		if p.Plumes > 64 {
+			panic("sensordata: more than 64 plumes per type") // EvalNodes keeps one bit per plume
+		}
 		for i := 0; i < p.Plumes; i++ {
 			pl := plume{
 				x:     f.rng.Range(0, w),
@@ -500,22 +511,44 @@ func reflect(v, limit float64) float64 {
 // for bit the full sum's.
 func (g *Generator) eval(i int, t Type) {
 	f := g.fields[t]
-	day := f.day(g.epoch)
-	lo, hi := t.Span()
 	pos := g.positions[i]
-	base := f.params.Base + day + f.noise[i] + f.bias[i]
+	base := f.pairBase(i, f.day(g.epoch))
+	slack := cullSlack(base)
 	v := base
-	for _, pl := range f.plumes {
-		dx, dy := pos.X-pl.x, pos.Y-pl.y
-		q := (dx*dx + dy*dy) / (2 * pl.sigma * pl.sigma)
-		if q > pl.cullQ && negligible(base, pl.lnAmp, q) {
-			continue
+	for j := range f.plumes {
+		pl := &f.plumes[j]
+		if x, keep := pl.expArg(pos, slack); keep {
+			v += pl.amp * math.Exp(x)
 		}
-		v += pl.amp * math.Exp(-q)
 	}
+	g.record(i, t, base, v)
+	g.evals++
+	g.tel.Evals.Inc()
+}
+
+// pairBase is where node i's sum starts: resting level, diurnal term,
+// AR(1) noise and static bias.
+func (f *typeField) pairBase(i int, day float64) float64 {
+	return f.params.Base + day + f.noise[i] + f.bias[i]
+}
+
+// expArg returns the argument −q of the plume's term amp·exp(−q) at pos,
+// and whether that term can change a sum starting at a base whose
+// cullSlack is slack (false when negligible would cull it).
+func (pl *plume) expArg(pos topology.Position, slack float64) (float64, bool) {
+	dx, dy := pos.X-pl.x, pos.Y-pl.y
+	q := (dx*dx + dy*dy) / (2 * pl.sigma * pl.sigma)
+	return -q, !(q > pl.cullQ && negligible(slack, pl.lnAmp, q))
+}
+
+// record stores a fresh evaluation of node i for type t whose sum started
+// at base and ended at v: the snapshot, the value clamped to the type's
+// span, and the stamp.
+func (g *Generator) record(i int, t Type, base, v float64) {
+	lo, hi := t.Span()
 	k := int(t)*len(g.positions) + i
 	g.snapPlume[k] = v - base
-	g.snapCum[k] = f.cumBound
+	g.snapCum[k] = g.fields[t].cumBound
 	if v < lo {
 		v = lo
 	}
@@ -524,8 +557,73 @@ func (g *Generator) eval(i int, t Type) {
 	}
 	g.values[i][t] = v
 	g.stamp[k] = g.epoch
-	g.evals++
-	g.tel.Evals.Inc()
+}
+
+// evalChunk is how many nodes EvalNodes evaluates per exp pass.
+const evalChunk = 256
+
+// evalScratch is EvalNodes' per-chunk scratch, kept by the generator so
+// that batches allocate only while it grows to its first full chunk.
+type evalScratch struct {
+	node []int32
+	base []float64
+	keep []uint64 // bit j: plume j's term survived the cull
+	args []float64
+}
+
+// EvalNodes evaluates type t for every listed node whose value is stale at
+// the current epoch, so that the Value calls that follow find them fresh.
+// Values, snapshots and the Evals count are bit for bit what lazy Value
+// calls would have produced (a NaN's payload aside); a repeated ID is
+// evaluated once.
+//
+// The work is type-major and batched: for a chunk of nodes it computes
+// every base, exponent argument and cull decision exactly as eval does,
+// then runs one vector exp pass (sim.Exps) over all surviving terms, then
+// adds each node's terms in plume order.
+func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
+	f := g.fields[t]
+	n := len(g.positions)
+	stamp := g.stamp[int(t)*n : int(t)*n+n]
+	day := f.day(g.epoch)
+	b := &g.scratch
+	count := 0
+	for len(ids) > 0 {
+		b.node, b.base, b.keep, b.args = b.node[:0], b.base[:0], b.keep[:0], b.args[:0]
+		for ; len(ids) > 0 && len(b.node) < evalChunk; ids = ids[1:] {
+			i := int(ids[0])
+			if stamp[i] == g.epoch {
+				continue
+			}
+			stamp[i] = g.epoch
+			pos := g.positions[i]
+			base := f.pairBase(i, day)
+			slack := cullSlack(base)
+			var keep uint64
+			for j := range f.plumes {
+				if x, ok := f.plumes[j].expArg(pos, slack); ok {
+					keep |= 1 << j
+					b.args = append(b.args, x)
+				}
+			}
+			b.node = append(b.node, int32(i))
+			b.base = append(b.base, base)
+			b.keep = append(b.keep, keep)
+		}
+		sim.Exps(b.args)
+		a := 0
+		for m, i := range b.node {
+			v := b.base[m]
+			for keep := b.keep[m]; keep != 0; keep &= keep - 1 {
+				v += f.plumes[bits.TrailingZeros64(keep)].amp * b.args[a]
+				a++
+			}
+			g.record(int(i), t, b.base[m], v)
+		}
+		count += len(b.node)
+	}
+	g.evals += uint64(count)
+	g.tel.Evals.Add(int64(count))
 }
 
 // compute eagerly evaluates every node for every type (generator

@@ -7,8 +7,20 @@
 // here. The engine keys events by (time, priority, sequence) and pairs with
 // a seeded, splittable random number generator (rng.go), so every
 // simulation run is exactly reproducible from its seed, for any worker
-// count, on amd64. Other architectures (arm64, ppc64le, s390x, riscv64)
-// may fuse multiply-adds and drift; ROADMAP item 1 tracks that.
+// count, on amd64 hosts whose CPU has AVX and FMA. math.Exp's amd64
+// assembly takes a fused multiply-add path on such CPUs and a plain one
+// elsewhere (or under GODEBUG=cpu.fma=off); the two round about 9 % of
+// the field's exponentials differently, so the field, and with it a run's
+// output, can differ between amd64 hosts. Other architectures (arm64, ppc64le,
+// s390x, riscv64) may also fuse multiply-adds in compiled Go and drift;
+// ROADMAP item 1 tracks both.
+//
+// On amd64 with AVX2, vecmath.go's assembly kernels replace the hot
+// scalar loops of the field model: the polar transform behind
+// RNG.NormFloat64s and Exps, the batch exp under field evaluation. Each
+// replays the scalar operations lane for lane, so no output bit depends
+// on whether they run; the exp kernel runs only on hosts whose math.Exp
+// takes the path it replays, which a one-time probe checks.
 //
 // The event queue is a binary min-heap of events held by value, so it is
 // allocation-free once the slice has grown to the peak number of pending

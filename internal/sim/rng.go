@@ -154,7 +154,8 @@ const normBlock = 256
 // state held in locals and stores every candidate, advancing the output
 // index only on acceptance, so no data-dependent branch guards the store.
 // The second pass transforms the block with independent iterations, so the
-// divisions, logarithms and square roots of neighbouring variates overlap.
+// divisions, logarithms and square roots of neighbouring variates overlap;
+// on AVX2 hosts it runs four lanes at a time (see polarScales).
 func (r *RNG) NormFloat64s(dst []float64) {
 	var sb [normBlock]float64
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
@@ -173,9 +174,7 @@ func (r *RNG) NormFloat64s(dst []float64) {
 			}
 			k += inc
 		}
-		for j := range blk {
-			blk[j] = polarScale(blk[j], sv[j])
-		}
+		polarScales(blk, sv)
 		dst = dst[len(blk):]
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
