@@ -67,11 +67,16 @@ import (
 var version = "dev"
 
 // Connection-level bounds of the HTTP server. A client gets
-// readHeaderTimeout to send its request headers, so a slow or stalled
-// one cannot hold a connection open; an idle keep-alive connection is
-// closed after idleTimeout. Request bodies are capped by the handler.
+// readHeaderTimeout to send its request headers and readTimeout, from the
+// same start, to send the whole request, body included, so a slow or
+// stalled one cannot hold a connection, or a handler blocked in its body
+// read, open; an idle keep-alive connection is closed after idleTimeout.
+// Request bodies are capped in size by the handler. The read deadline
+// ends once a handler has read its body, so a query that waits longer
+// for its answer is not cut short.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 15 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -82,6 +87,7 @@ func newServer(addr string, handler http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -99,8 +99,11 @@ func TestQuiescentWindowZeroEvaluations(t *testing.T) {
 // (node, type) pair, the node's actual value this epoch must indeed lie
 // inside that window. Runs with full default dynamics so plumes, noise
 // and the diurnal cycle all push against the bound, and windows follow
-// the protocol's hysteresis rule.
-func TestSweepNeverLies(t *testing.T) {
+// the protocol's hysteresis rule. It runs with the sweep kernel as the
+// host enables it and forced off.
+func TestSweepNeverLies(t *testing.T) { kernelModes(t, checkSweepNeverLies) }
+
+func checkSweepNeverLies(t *testing.T) {
 	pos := refPositions(80, 13)
 	g := NewGenerator(pos, sim.NewRNG(7).Stream("data"))
 
@@ -154,7 +157,8 @@ func TestSweepNeverLies(t *testing.T) {
 
 // TestSweepNeverLiesRandomWindows is the same safety property under
 // adversarial windows, at network sizes on both sides of the 64-node
-// word boundary.
+// word boundary, with the sweep kernel as the host enables it and forced
+// off.
 func TestSweepNeverLiesRandomWindows(t *testing.T) {
 	epochs := 300
 	if testing.Short() {
@@ -165,7 +169,7 @@ func TestSweepNeverLiesRandomWindows(t *testing.T) {
 		seed uint64
 	}{{1, 1}, {63, 2}, {64, 3}, {130, 4}, {1000, 5}} {
 		t.Run(fmt.Sprintf("n%d", tc.n), func(t *testing.T) {
-			checkSweepRandomWindows(t, tc.n, tc.seed, epochs)
+			kernelModes(t, func(t *testing.T) { checkSweepRandomWindows(t, tc.n, tc.seed, epochs) })
 		})
 	}
 }

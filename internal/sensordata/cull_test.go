@@ -20,7 +20,7 @@ func culledPairs(g *Generator, ty Type) (culled, total int) {
 	for i, pos := range g.positions {
 		slack := cullSlack(f.pairBase(i, day))
 		for j := range f.plumes {
-			if _, keep := f.plumes[j].expArg(pos, slack); !keep {
+			if _, keep := expArg(&f.plumes[j], pos, slack); !keep {
 				culled++
 			}
 			total++
@@ -139,7 +139,7 @@ func TestNegligibleNeverChangesSum(t *testing.T) {
 			q = thr + rng.Range(-1e-9, 1e-9)
 		}
 		tried++
-		if !negligible(cullSlack(base), lnAmp, q) {
+		if !negligible(cullSlack(base), lnAmp+1, q) {
 			continue
 		}
 		skipped++
@@ -167,18 +167,22 @@ func TestNegligibleNeverChangesSum(t *testing.T) {
 // where every plume is near every node and nothing is culled, so it shows
 // the cull's overhead; scale-2k is ScaleDefault(2000)'s 632 m field, where
 // most (node, plume) terms are culled. Each field runs as single lazy
-// Value calls and as one EvalNodes batch per type.
+// Value calls and as one EvalNodes batch per type, the batch with the
+// plume kernel as the host enables it and forced off.
 func BenchmarkFieldEval(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		pos  []topology.Position
 	}{{"paper-50", refPositions(50, 1)}, {"scale-2k", refPositionsIn(2000, 1, scaleSide)}} {
-		b.Run(c.name+"/single", func(b *testing.B) { benchFieldEval(b, c.pos, false) })
-		b.Run(c.name+"/batch", func(b *testing.B) { benchFieldEval(b, c.pos, true) })
+		b.Run(c.name+"/single", func(b *testing.B) { benchFieldEval(b, c.pos, false, true) })
+		b.Run(c.name+"/batch", func(b *testing.B) { benchFieldEval(b, c.pos, true, true) })
+		b.Run(c.name+"/batch-kernel-off", func(b *testing.B) { benchFieldEval(b, c.pos, true, false) })
 	}
 }
 
-func benchFieldEval(b *testing.B, pos []topology.Position, batch bool) {
+func benchFieldEval(b *testing.B, pos []topology.Position, batch, kernels bool) {
+	defer func(on bool) { useKernels = on }(useKernels)
+	useKernels = kernels
 	g := NewGenerator(pos, sim.NewRNG(1).Stream("data"))
 	ids := make([]topology.NodeID, len(pos))
 	for i := range ids {

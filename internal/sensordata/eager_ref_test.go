@@ -20,7 +20,11 @@ type eagerRef struct {
 	epoch     int64
 	values    [][NumTypes]float64
 	plume     [][NumTypes]float64 // unclamped value minus base: Generator.snapPlume's counterpart
+	plumes    [NumTypes][]refPlume
 }
+
+// refPlume is one moving Gaussian hotspot as the eager generator kept it.
+type refPlume struct{ x, y, amp, sigma float64 }
 
 func newEagerRef(positions []topology.Position, rng *sim.RNG) *eagerRef {
 	var w, h float64
@@ -78,7 +82,7 @@ func newEagerRef(positions []topology.Position, rng *sim.RNG) *eagerRef {
 			}
 		}
 		for i := 0; i < p.Plumes; i++ {
-			f.plumes = append(f.plumes, plume{
+			g.plumes[t] = append(g.plumes[t], refPlume{
 				x:     f.rng.Range(0, w),
 				y:     f.rng.Range(0, h),
 				amp:   p.PlumeAmp * f.rng.Range(0.6, 1.4),
@@ -96,8 +100,8 @@ func (g *eagerRef) step() {
 	for _, t := range AllTypes() {
 		f := g.fields[t]
 		p := f.params
-		for i := range f.plumes {
-			pl := &f.plumes[i]
+		for i := range g.plumes[t] {
+			pl := &g.plumes[t][i]
 			pl.x += f.rng.NormFloat64() * p.DriftStep
 			pl.y += f.rng.NormFloat64() * p.DriftStep
 			pl.x = reflect(pl.x, f.width)
@@ -122,7 +126,7 @@ func (g *eagerRef) compute() {
 		for i, pos := range g.positions {
 			base := p.Base + day + f.noise[i] + f.bias[i]
 			v := base
-			for _, pl := range f.plumes {
+			for _, pl := range g.plumes[t] {
 				dx, dy := pos.X-pl.x, pos.Y-pl.y
 				v += pl.amp * math.Exp(-(dx*dx+dy*dy)/(2*pl.sigma*pl.sigma))
 			}

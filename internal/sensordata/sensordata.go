@@ -116,17 +116,6 @@ func DefaultParams(t Type) FieldParams {
 	}
 }
 
-// plume is one moving Gaussian hotspot. amp is positive: it is drawn once
-// at construction (see NewGenerator) and never rebuilt, which is what lets
-// eval cull a plume's negligible far tail exactly.
-type plume struct {
-	x, y  float64
-	amp   float64
-	sigma float64
-	lnAmp float64 // ln(amp)
-	cullQ float64 // lnAmp + cullFloorSlack: eval's pre-filter for negligible
-}
-
 // Far-plume culling. For a positive normal base with biased exponent e,
 // ulp(base)/4 = 2^(e−1077), and a term amp·exp(−q) is below it when
 // q > ln(amp) + (1077−e)·ln 2. The threshold adds one nat (a factor of e)
@@ -145,11 +134,11 @@ const (
 )
 
 // negligible reports whether adding amp·exp(−q), 0 < amp < 2^59, to any
-// sum v >= base leaves v bit-for-bit unchanged, given slack =
-// cullSlack(base): the term is below ulp(base)/4 <= ulp(v)/4, so
-// round-to-nearest returns v. It is false whenever base is not a positive
-// normal number of at least 2^-959.
-func negligible(slack, lnAmp, q float64) bool { return q > lnAmp+1+slack }
+// sum v >= base leaves v bit-for-bit unchanged, given lnAmp1 = ln(amp)+1
+// and slack = cullSlack(base): the term is below ulp(base)/4 <= ulp(v)/4,
+// so round-to-nearest returns v. It is false whenever base is not a
+// positive normal number of at least 2^-959.
+func negligible(slack, lnAmp1, q float64) bool { return q > lnAmp1+slack }
 
 // cullSlack is the base's part of negligible's threshold, (1077−e)·ln 2
 // for biased exponent e, or +Inf where culling is off, which no q
@@ -163,9 +152,17 @@ func cullSlack(base float64) float64 {
 }
 
 // typeField is the per-sensor-type field state.
+//
+// Each plume is a moving Gaussian hotspot: its centre, amplitude and the
+// derived terms eval reads are in plumes, its spatial stddev in sigma. The
+// amplitude is positive: it is drawn once at construction (see
+// NewGenerator) and never rebuilt, which is what lets eval cull a plume's
+// negligible far tail exactly. CullQ, ln(amp) + cullFloorSlack, is eval's
+// pre-filter for negligible.
 type typeField struct {
 	params FieldParams
-	plumes []plume
+	plumes []sim.Plume
+	sigma  []float64
 	phase  float64 // random diurnal phase offset
 	noise  []float64
 	bias   []float64 // static per-node microclimate offsets
@@ -319,19 +316,22 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 		// ShiftBase and ScaleDynamics never rebuild them. Every amplitude is
 		// positive (PlumeAmp > 0 for every type, times U(0.6, 1.4)); eval's
 		// far-plume culling relies on it.
-		if p.Plumes > 64 {
+		if p.Plumes > maxPlumes {
 			panic("sensordata: more than 64 plumes per type") // EvalNodes keeps one bit per plume
 		}
 		for i := 0; i < p.Plumes; i++ {
-			pl := plume{
-				x:     f.rng.Range(0, w),
-				y:     f.rng.Range(0, h),
-				amp:   p.PlumeAmp * f.rng.Range(0.6, 1.4),
-				sigma: p.PlumeSigma * f.rng.Range(0.8, 1.2),
+			pl := sim.Plume{
+				X:   f.rng.Range(0, w),
+				Y:   f.rng.Range(0, h),
+				Amp: p.PlumeAmp * f.rng.Range(0.6, 1.4),
 			}
-			pl.lnAmp = math.Log(pl.amp)
-			pl.cullQ = pl.lnAmp + cullFloorSlack
+			sigma := p.PlumeSigma * f.rng.Range(0.8, 1.2)
+			lnAmp := math.Log(pl.Amp)
+			pl.Den = 2 * sigma * sigma
+			pl.LnAmp1 = lnAmp + 1
+			pl.CullQ = lnAmp + cullFloorSlack
 			f.plumes = append(f.plumes, pl)
+			f.sigma = append(f.sigma, sigma)
 		}
 		g.fields[t] = f
 	}
@@ -439,34 +439,39 @@ func (g *Generator) Step() {
 }
 
 // stepType advances one type's field state by one epoch.
+//
+// Every draw goes through NormFloat64s, which yields exactly the
+// NormFloat64 sequence: first each plume's x and y innovation in plume
+// order, then the per-node AR(1) innovations a stack block at a time.
 func (g *Generator) stepType(t Type) {
 	f := g.fields[t]
 	p := f.params
+	var d [2 * maxPlumes]float64
+	drift := d[:2*len(f.plumes)]
+	f.rng.NormFloat64s(drift)
 	motion := 0.0
 	for i := range f.plumes {
 		pl := &f.plumes[i]
-		ox, oy := pl.x, pl.y
-		pl.x += f.rng.NormFloat64() * p.DriftStep
-		pl.y += f.rng.NormFloat64() * p.DriftStep
+		ox, oy := pl.X, pl.Y
+		pl.X += drift[2*i] * p.DriftStep
+		pl.Y += drift[2*i+1] * p.DriftStep
 		// Reflect at the area boundary so plumes stay in play.
-		pl.x = reflect(pl.x, f.width)
-		pl.y = reflect(pl.y, f.height)
+		pl.X = reflect(pl.X, f.width)
+		pl.Y = reflect(pl.Y, f.height)
 		// Conservative bound on this plume's contribution change at any
 		// position: displacement times the Gaussian's steepest slope,
 		// capped at the full amplitude. Reflection is a contraction, so
 		// the realized displacement is what matters.
-		amp := math.Abs(pl.amp)
+		amp := math.Abs(pl.Amp)
 		b := amp
-		if pl.sigma > 0 {
-			dx, dy := pl.x-ox, pl.y-oy
-			if s := math.Sqrt(dx*dx+dy*dy) * maxPlumeSlope / pl.sigma * amp; s < b {
+		if sigma := f.sigma[i]; sigma > 0 {
+			dx, dy := pl.X-ox, pl.Y-oy
+			if s := math.Sqrt(dx*dx+dy*dy) * maxPlumeSlope / sigma * amp; s < b {
 				b = s
 			}
 		}
 		motion += b
 	}
-	// The innovations are drawn a stack block at a time; NormFloat64s
-	// yields exactly the per-node NormFloat64 sequence.
 	var z [noiseBlock]float64
 	for noise := f.noise; len(noise) > 0; {
 		zb := z[:min(len(noise), noiseBlock)]
@@ -481,6 +486,11 @@ func (g *Generator) stepType(t Type) {
 
 // noiseBlock is how many AR(1) innovations stepType draws per block.
 const noiseBlock = 256
+
+// maxPlumes bounds the plumes of one type: EvalNodes' scalar path keeps a
+// 64-bit keep mask per node, and stepType draws their drift into a stack
+// array.
+const maxPlumes = 64
 
 // reflect folds v back into [0, limit]. Within 2·limit of the area the
 // loop makes at most one pass; further out v is first reduced modulo the
@@ -517,8 +527,8 @@ func (g *Generator) eval(i int, t Type) {
 	v := base
 	for j := range f.plumes {
 		pl := &f.plumes[j]
-		if x, keep := pl.expArg(pos, slack); keep {
-			v += pl.amp * math.Exp(x)
+		if x, keep := expArg(pl, pos, slack); keep {
+			v += pl.Amp * math.Exp(x)
 		}
 	}
 	g.record(i, t, base, v)
@@ -534,20 +544,30 @@ func (f *typeField) pairBase(i int, day float64) float64 {
 
 // expArg returns the argument −q of the plume's term amp·exp(−q) at pos,
 // and whether that term can change a sum starting at a base whose
-// cullSlack is slack (false when negligible would cull it).
-func (pl *plume) expArg(pos topology.Position, slack float64) (float64, bool) {
-	dx, dy := pos.X-pl.x, pos.Y-pl.y
-	q := (dx*dx + dy*dy) / (2 * pl.sigma * pl.sigma)
-	return -q, !(q > pl.cullQ && negligible(slack, pl.lnAmp, q))
+// cullSlack is slack (false when negligible would cull it). Den is
+// 2·σ·σ, rounded as Go evaluates that product, left to right.
+func expArg(pl *sim.Plume, pos topology.Position, slack float64) (float64, bool) {
+	dx, dy := pos.X-pl.X, pos.Y-pl.Y
+	q := (dx*dx + dy*dy) / pl.Den
+	return -q, !(q > pl.CullQ && negligible(slack, pl.LnAmp1, q))
 }
 
 // record stores a fresh evaluation of node i for type t whose sum started
 // at base and ended at v: the snapshot, the value clamped to the type's
-// span, and the stamp.
+// span, and the stamp. A NaN value or snapshot is stored as math.NaN(),
+// since which operand's payload a NaN sum carries depends on the order
+// the compiler or a kernel adds in.
 func (g *Generator) record(i int, t Type, base, v float64) {
 	lo, hi := t.Span()
 	k := int(t)*len(g.positions) + i
-	g.snapPlume[k] = v - base
+	if v != v {
+		v = math.NaN()
+	}
+	snap := v - base
+	if snap != snap {
+		snap = math.NaN()
+	}
+	g.snapPlume[k] = snap
 	g.snapCum[k] = g.fields[t].cumBound
 	if v < lo {
 		v = lo
@@ -559,28 +579,35 @@ func (g *Generator) record(i int, t Type, base, v float64) {
 	g.stamp[k] = g.epoch
 }
 
-// evalChunk is how many nodes EvalNodes evaluates per exp pass.
+// evalChunk is how many nodes EvalNodes gathers per pass.
 const evalChunk = 256
 
+// useKernels routes EvalNodes and ActiveSweep through sim's vector
+// kernels, which run the scalar path themselves on hosts without them. It
+// is a variable only so that tests can force the scalar path.
+var useKernels = true
+
 // evalScratch is EvalNodes' per-chunk scratch, kept by the generator so
-// that batches allocate only while it grows to its first full chunk.
+// that batches allocate only while it grows to its first full chunk. The
+// float columns are indexed by position in the chunk; keep and args serve
+// the scalar path.
 type evalScratch struct {
-	node []int32
-	base []float64
-	keep []uint64 // bit j: plume j's term survived the cull
-	args []float64
+	node        []int32
+	base, v     []float64 // v: the sum, starting at base
+	x, y, slack []float64 // position and cullSlack(base)
+	keep        []uint64  // bit j: plume j's term survived the cull
+	args        []float64
 }
 
 // EvalNodes evaluates type t for every listed node whose value is stale at
 // the current epoch, so that the Value calls that follow find them fresh.
 // Values, snapshots and the Evals count are bit for bit what lazy Value
-// calls would have produced (a NaN's payload aside); a repeated ID is
-// evaluated once.
+// calls would have produced; a repeated ID is evaluated once.
 //
-// The work is type-major and batched: for a chunk of nodes it computes
-// every base, exponent argument and cull decision exactly as eval does,
-// then runs one vector exp pass (sim.Exps) over all surviving terms, then
-// adds each node's terms in plume order.
+// The work is type-major and batched. For a chunk of nodes it computes
+// every base and cull slack exactly as eval does, then the plume sums:
+// four nodes at a time in sim.PlumeSums' kernel, or through sumTerms, the
+// scalar path, for groups the kernel hands back and on hosts without it.
 func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
 	f := g.fields[t]
 	n := len(g.positions)
@@ -589,7 +616,7 @@ func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
 	b := &g.scratch
 	count := 0
 	for len(ids) > 0 {
-		b.node, b.base, b.keep, b.args = b.node[:0], b.base[:0], b.keep[:0], b.args[:0]
+		b.node, b.base, b.x, b.y, b.slack = b.node[:0], b.base[:0], b.x[:0], b.y[:0], b.slack[:0]
 		for ; len(ids) > 0 && len(b.node) < evalChunk; ids = ids[1:] {
 			i := int(ids[0])
 			if stamp[i] == g.epoch {
@@ -598,32 +625,54 @@ func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
 			stamp[i] = g.epoch
 			pos := g.positions[i]
 			base := f.pairBase(i, day)
-			slack := cullSlack(base)
-			var keep uint64
-			for j := range f.plumes {
-				if x, ok := f.plumes[j].expArg(pos, slack); ok {
-					keep |= 1 << j
-					b.args = append(b.args, x)
-				}
-			}
 			b.node = append(b.node, int32(i))
 			b.base = append(b.base, base)
-			b.keep = append(b.keep, keep)
+			b.x = append(b.x, pos.X)
+			b.y = append(b.y, pos.Y)
+			b.slack = append(b.slack, cullSlack(base))
 		}
-		sim.Exps(b.args)
-		a := 0
+		b.v = append(b.v[:0], b.base...)
+		if useKernels {
+			sim.PlumeSums(b.v, b.x, b.y, b.slack, f.plumes, func(lo, hi int) { f.sumTerms(b, lo, hi) })
+		} else {
+			f.sumTerms(b, 0, len(b.v))
+		}
 		for m, i := range b.node {
-			v := b.base[m]
-			for keep := b.keep[m]; keep != 0; keep &= keep - 1 {
-				v += f.plumes[bits.TrailingZeros64(keep)].amp * b.args[a]
-				a++
-			}
-			g.record(int(i), t, b.base[m], v)
+			g.record(int(i), t, b.base[m], b.v[m])
 		}
 		count += len(b.node)
 	}
 	g.evals += uint64(count)
 	g.tel.Evals.Add(int64(count))
+}
+
+// sumTerms adds the plume terms of the chunk's nodes lo..hi−1 to their
+// sums the scalar way: every exponent argument and cull decision as eval
+// makes them, one sim.Exps pass over the surviving arguments, then each
+// node's terms in plume order.
+func (f *typeField) sumTerms(b *evalScratch, lo, hi int) {
+	b.keep, b.args = b.keep[:0], b.args[:0]
+	for m := lo; m < hi; m++ {
+		pos := topology.Position{X: b.x[m], Y: b.y[m]}
+		var keep uint64
+		for j := range f.plumes {
+			if x, ok := expArg(&f.plumes[j], pos, b.slack[m]); ok {
+				keep |= 1 << j
+				b.args = append(b.args, x)
+			}
+		}
+		b.keep = append(b.keep, keep)
+	}
+	sim.Exps(b.args)
+	a := 0
+	for m := lo; m < hi; m++ {
+		v := b.v[m]
+		for keep := b.keep[m-lo]; keep != 0; keep &= keep - 1 {
+			v += f.plumes[bits.TrailingZeros64(keep)].Amp * b.args[a]
+			a++
+		}
+		b.v[m] = v
+	}
 }
 
 // compute eagerly evaluates every node for every type (generator
@@ -675,8 +724,12 @@ func (g *Generator) ActiveSweep(lo, hi *[NumTypes][]float64, mask []uint8, dst [
 		snapC := g.snapCum[int(t)*n : int(t)*n+n]
 		wlo, whi := lo[t][:n], hi[t][:n]
 		bit := uint8(1) << uint(t)
+		var k int
 		var hits int64
-		for i := range n {
+		if useKernels {
+			k, hits = sim.SweepWindows(mask, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, wlo, whi)
+		}
+		for i := k; i < n; i++ {
 			dev := cum - snapC[i]
 			c := base + noise[i] + bias[i] + snapP[i]
 			vlo, vhi := c-dev, c+dev

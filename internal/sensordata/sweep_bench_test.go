@@ -1,6 +1,7 @@
 package sensordata
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,13 +16,30 @@ import (
 //   - quiescent-100k: every pair sits in a window around its reading, so
 //     nothing is active and an epoch costs the bare 400k-pair scan;
 //   - half-active-25k: every other node rides the always-active sentinel,
-//     so half the network is active every epoch.
+//     so half the network is active every epoch;
+//   - random-active-25k: a random half of the (node, type) pairs ride the
+//     sentinel, so no branch on a pair's or a node's outcome predicts.
+//
+// Each runs with the sweep kernel as the host enables it and forced off.
 func BenchmarkSweep(b *testing.B) {
-	b.Run("quiescent-100k", func(b *testing.B) { benchSweep(b, 100000, false) })
-	b.Run("half-active-25k", func(b *testing.B) { benchSweep(b, 25000, true) })
+	for _, c := range []struct {
+		name   string
+		n      int
+		active func(i int, ty Type, r *sim.RNG) bool
+	}{
+		{"quiescent-100k", 100000, func(int, Type, *sim.RNG) bool { return false }},
+		{"half-active-25k", 25000, func(i int, _ Type, _ *sim.RNG) bool { return i%2 == 0 }},
+		{"random-active-25k", 25000, func(_ int, _ Type, r *sim.RNG) bool { return r.Bool(0.5) }},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchSweep(b, c.n, c.active, true) })
+		b.Run(c.name+"/kernel-off", func(b *testing.B) { benchSweep(b, c.n, c.active, false) })
+	}
 }
 
-func benchSweep(b *testing.B, n int, halfActive bool) {
+func benchSweep(b *testing.B, n int, active func(i int, ty Type, r *sim.RNG) bool, kernels bool) {
+	defer func(on bool) { useKernels = on }(useKernels)
+	useKernels = kernels
+	r := sim.NewRNG(2)
 	g := NewGenerator(refPositions(n, 1), sim.NewRNG(1).Stream("data"))
 	for _, ty := range AllTypes() {
 		p := g.Params(ty)
@@ -33,7 +51,7 @@ func benchSweep(b *testing.B, n int, halfActive bool) {
 		lo[ty], hi[ty] = make([]float64, n), make([]float64, n)
 		delta := 0.05 * ty.SpanWidth()
 		for i := 0; i < n; i++ {
-			if halfActive && i%2 == 0 {
+			if active(i, ty, r) {
 				lo[ty][i], hi[ty][i] = math.Inf(1), math.Inf(-1)
 				continue
 			}
@@ -54,14 +72,19 @@ func benchSweep(b *testing.B, n int, halfActive bool) {
 	b.ReportMetric(float64(len(dst)), "active/op")
 }
 
-// BenchmarkGeneratorStep times one epoch of field stepping at 25 000
-// nodes: plume drift plus one AR(1) noise draw per (node, type), with no
-// field evaluation.
+// BenchmarkGeneratorStep times one epoch of field stepping: plume drift
+// plus one AR(1) noise draw per (node, type), with no field evaluation. At
+// 25 000 nodes the noise draws dominate; at the paper's 50 the 15 plumes'
+// drift draws are a visible share.
 func BenchmarkGeneratorStep(b *testing.B) {
-	g := NewGenerator(refPositions(25000, 1), sim.NewRNG(1).Stream("data"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		g.Step()
+	for _, n := range []int{50, 25000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			g := NewGenerator(refPositions(n, 1), sim.NewRNG(1).Stream("data"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				g.Step()
+			}
+		})
 	}
 }

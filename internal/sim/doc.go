@@ -17,9 +17,11 @@
 //
 // On amd64 with AVX2, vecmath.go's assembly kernels replace the hot
 // scalar loops of the field model: the polar transform behind
-// RNG.NormFloat64s and Exps, the batch exp under field evaluation. Each
-// replays the scalar operations lane for lane, so no output bit depends
-// on whether they run; the exp kernel runs only on hosts whose math.Exp
+// RNG.NormFloat64s; Exps, a batch exp; PlumeSums, the field's Gaussian
+// plume terms with their cull tests; and SweepWindows, the activity
+// sweep's per-pair window test. Each replays the scalar operations lane
+// for lane, so no output bit depends on whether they run; the exp and
+// plume kernels share one exp replay and run only on hosts whose math.Exp
 // takes the path it replays, which a one-time probe checks.
 //
 // The event queue is a binary min-heap of events held by value, so it is

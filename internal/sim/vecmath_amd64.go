@@ -46,3 +46,20 @@ func expAVX2(x []float64) int
 //
 //go:noescape
 func polarScaleAVX2(u, s []float64)
+
+// plumeSumsAVX2 runs PlumeSums' kernel on the first len(v)&^3 points, one
+// 4-point group at a time, using AVX2 and FMA. It stops before the first
+// group with a kept term whose exponent argument lies outside [−708, 0]
+// (NaN included), leaving that group's v untouched, and returns how many
+// points it summed. x, y and slack must be at least as long as v.
+//
+//go:noescape
+func plumeSumsAVX2(v, x, y, slack []float64, plumes []Plume) int
+
+// sweepAVX2 runs SweepWindows' test on every pair, using AVX2, and returns
+// how many it flagged. len(mask) must be a multiple of 4 and no slice
+// shorter than mask.
+//
+//go:noescape
+func sweepAVX2(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
+	noise, bias, snapP, snapC, lo, hi []float64) int64

@@ -42,6 +42,7 @@ VEC4(expC7, $1.9841269841269841270e-4)
 VEC4(expC8, $2.4801587301587301587e-5)
 VEC4(expMin, $-708.0)
 VEC4(expZero, $0.0)
+VEC4(negZero, $0x8000000000000000)
 DATA expBias<>+0(SB)/4, $1023
 DATA expBias<>+4(SB)/4, $1023
 DATA expBias<>+8(SB)/4, $1023
@@ -147,11 +148,58 @@ polarLoop:
 polarDone:
 	RET
 
+// EXP4 replaces each lane of Y0, all of which must lie in [−708, 0], with
+// its math.Exp: the avxfma path of exp_amd64.s, operation for operation,
+// with the steps commented in expAVX2 below. For x in [−708, 0] the
+// exponent k = round(x·log2(e)) lies in [−1021, 0], so archExp's overflow,
+// underflow and subnormal branches are never taken. It clobbers Y1 and Y3.
+// This is the field model's one exp replay: expAVX2 and plumeSumsAVX2 both
+// expand it.
+#define EXP4 \
+	VMULPD       expLog2e<>(SB), Y0, Y1; \
+	VCVTPD2DQY   Y1, X3; \
+	VCVTDQ2PD    X3, Y1; \
+	VFNMADD231PD expLn2U<>(SB), Y1, Y0; \
+	VFNMADD231PD expLn2L<>(SB), Y1, Y0; \
+	VMULPD       expSixteenth<>(SB), Y0, Y0; \
+	VMOVUPD      expC8<>(SB), Y1; \
+	VFMADD213PD  expC7<>(SB), Y0, Y1; \
+	VFMADD213PD  expC6<>(SB), Y0, Y1; \
+	VFMADD213PD  expC5<>(SB), Y0, Y1; \
+	VFMADD213PD  expC4<>(SB), Y0, Y1; \
+	VFMADD213PD  expC3<>(SB), Y0, Y1; \
+	VFMADD213PD  expHalf<>(SB), Y0, Y1; \
+	VFMADD213PD  expOne<>(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expTwo<>(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expTwo<>(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expTwo<>(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expTwo<>(SB), Y0, Y1; \
+	VFMADD213PD  expOne<>(SB), Y1, Y0; \
+	VPADDD       expBias<>(SB), X3, X3; \
+	VPMOVZXDQ    X3, Y3; \
+	VPSLLQ       $52, Y3, Y3; \
+	VMULPD       Y3, Y0, Y0
+
+// EXPRANGE sets AX to 15 exactly when every lane of Y0 lies in [−708, 0]
+// (ordered, so a NaN lane fails). It clobbers Y1 and Y2.
+#define EXPRANGE \
+	VCMPPD    $0x1D, expMin<>(SB), Y0, Y1; \
+	VCMPPD    $0x12, expZero<>(SB), Y0, Y2; \
+	VANDPD    Y2, Y1, Y1; \
+	VMOVMSKPD Y1, AX
+
 // func expAVX2(x []float64) int
 //
-// Per lane: the avxfma path of exp_amd64.s, operation for operation. For
-// x in [−708, 0] the exponent k = round(x·log2(e)) lies in [−1021, 0], so
-// archExp's overflow, underflow and subnormal branches are never taken.
+// Per lane, EXP4, which is archExp's avxfma path:
+//   - k := round(x·log2(e)) as int32 and as float64;
+//   - x −= k·Ln2U; x −= k·Ln2L (both fused); x *= 1/16;
+//   - the Taylor series in Horner form with fused steps;
+//   - four squarings x = x·(x + 2), the last one fused with + 1;
+//   - x·2^k, with 2^k built from the biased exponent k + 1023 in [2, 1023].
 TEXT ·expAVX2(SB), NOSPLIT, $0-32
 	MOVQ x_base+0(FP), DI
 	MOVQ x_len+8(FP), CX
@@ -162,53 +210,177 @@ TEXT ·expAVX2(SB), NOSPLIT, $0-32
 expLoop:
 	VMOVUPD (DI), Y0
 	// Stop at a block with a lane outside [−708, 0] or NaN.
-	VCMPPD    $0x1D, expMin<>(SB), Y0, Y1 // x >= −708, ordered
-	VCMPPD    $0x12, expZero<>(SB), Y0, Y2 // x <= 0, ordered
-	VANDPD    Y2, Y1, Y1
-	VMOVMSKPD Y1, AX
-	CMPQ      AX, $15
-	JNE       expStop
-	// k := round(x·log2(e)) as int32 and as float64
-	VMULPD     expLog2e<>(SB), Y0, Y1
-	VCVTPD2DQY Y1, X3
-	VCVTDQ2PD  X3, Y1
-	// x −= k·Ln2U; x −= k·Ln2L (fused); x *= 1/16
-	VFNMADD231PD expLn2U<>(SB), Y1, Y0
-	VFNMADD231PD expLn2L<>(SB), Y1, Y0
-	VMULPD       expSixteenth<>(SB), Y0, Y0
-	// Taylor series, Horner form with fused steps
-	VMOVUPD     expC8<>(SB), Y1
-	VFMADD213PD expC7<>(SB), Y0, Y1
-	VFMADD213PD expC6<>(SB), Y0, Y1
-	VFMADD213PD expC5<>(SB), Y0, Y1
-	VFMADD213PD expC4<>(SB), Y0, Y1
-	VFMADD213PD expC3<>(SB), Y0, Y1
-	VFMADD213PD expHalf<>(SB), Y0, Y1
-	VFMADD213PD expOne<>(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	// four squarings: x = x·(x + 2), the last one fused with + 1
-	VADDPD      expTwo<>(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      expTwo<>(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      expTwo<>(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      expTwo<>(SB), Y0, Y1
-	VFMADD213PD expOne<>(SB), Y1, Y0
-	// x·2^k, with 2^k built from the biased exponent k + 1023 in [2, 1023]
-	VPADDD    expBias<>(SB), X3, X3
-	VPMOVZXDQ X3, Y3
-	VPSLLQ    $52, Y3, Y3
-	VMULPD    Y3, Y0, Y0
-	VMOVUPD   Y0, (DI)
-	ADDQ      $32, DI
-	ADDQ      $4, DX
-	DECQ      CX
-	JNZ       expLoop
+	EXPRANGE
+	CMPQ    AX, $15
+	JNE     expStop
+	EXP4
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $4, DX
+	DECQ    CX
+	JNZ     expLoop
 
 expStop:
 	VZEROUPPER
 
 expDone:
 	MOVQ DX, ret+24(FP)
+	RET
+
+// func plumeSumsAVX2(v, x, y, slack []float64, plumes []Plume) int
+//
+// Per group of four points, with the point's x, y, slack and running sum v
+// in Y8–Y11 and each plume's fields broadcast from its Plume (X at 0, Y at
+// 8, Den at 16, CullQ at 24, LnAmp1 at 32, Amp at 40; 48 bytes a plume):
+//
+//	q := (dx·dx + dy·dy) / Den, with dx = x − X, dy = y − Y
+//	culled := q > CullQ && q > LnAmp1 + slack
+//	v += Amp·exp(−q) on the lanes not culled
+//
+// A plume culled on all four lanes costs no exp. Culled lanes enter EXP4
+// as 0 and keep v by a blend, so no lane's sum sees a +0 (which would turn
+// a −0 sum into +0).
+TEXT ·plumeSumsAVX2(SB), NOSPLIT, $0-128
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ y_base+48(FP), R10
+	MOVQ slack_base+72(FP), R11
+	MOVQ plumes_base+96(FP), R12
+	MOVQ plumes_len+104(FP), R13
+	XORQ DX, DX
+	SHRQ $2, CX
+	JZ   plumeDone
+	VXORPD Y12, Y12, Y12
+
+plumeGroup:
+	VMOVUPD (SI)(DX*8), Y8
+	VMOVUPD (R10)(DX*8), Y9
+	VMOVUPD (DI)(DX*8), Y10
+	VMOVUPD (R11)(DX*8), Y11
+	MOVQ    R12, R8
+	MOVQ    R13, R9
+	TESTQ   R9, R9
+	JZ      plumeStore
+
+plumeTerm:
+	// q := (dx·dx + dy·dy) / Den
+	VBROADCASTSD 0(R8), Y0
+	VSUBPD       Y0, Y8, Y0
+	VBROADCASTSD 8(R8), Y1
+	VSUBPD       Y1, Y9, Y1
+	VMULPD       Y0, Y0, Y0
+	VMULPD       Y1, Y1, Y1
+	VADDPD       Y1, Y0, Y0
+	VBROADCASTSD 16(R8), Y1
+	VDIVPD       Y1, Y0, Y0
+	// culled := q > CullQ && q > LnAmp1 + slack (ordered: NaN keeps)
+	VBROADCASTSD 32(R8), Y1
+	VADDPD       Y11, Y1, Y1
+	VCMPPD       $0x1E, Y1, Y0, Y1
+	VBROADCASTSD 24(R8), Y2
+	VCMPPD       $0x1E, Y2, Y0, Y2
+	VANDPD       Y2, Y1, Y5
+	VMOVMSKPD    Y5, AX
+	CMPQ         AX, $15
+	JEQ          plumeNext
+	// −q on kept lanes, 0 on culled ones; stop at a group exp cannot take.
+	VXORPD    negZero<>(SB), Y0, Y0
+	VBLENDVPD Y5, Y12, Y0, Y0
+	EXPRANGE
+	CMPQ      AX, $15
+	JNE       plumeStop
+	EXP4
+	// v += Amp·e on kept lanes
+	VBROADCASTSD 40(R8), Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y0, Y10, Y1
+	VBLENDVPD    Y5, Y10, Y1, Y10
+
+plumeNext:
+	ADDQ $48, R8
+	DECQ R9
+	JNZ  plumeTerm
+
+plumeStore:
+	VMOVUPD Y10, (DI)(DX*8)
+	ADDQ    $4, DX
+	DECQ    CX
+	JNZ     plumeGroup
+
+plumeStop:
+	VZEROUPPER
+
+plumeDone:
+	MOVQ DX, ret+120(FP)
+	RET
+
+// func sweepAVX2(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64, noise, bias, snapP, snapC, lo, hi []float64) int64
+//
+// Per lane, with base, cum, spanLo and spanHi broadcast in Y12–Y15:
+//
+//	dev := cum − snapC
+//	c := base + noise + bias + snapP
+//	vlo, vhi := c − dev, c + dev
+//	if vlo < spanLo { vlo = spanLo }; if vhi > spanHi { vhi = spanHi }
+//	hit := vlo < lo || vhi > hi
+//
+// The clamps are a compare and a blend, not MINPD/MAXPD, whose NaN and
+// signed-zero rules differ from Go's. The four hit bits become bit in each
+// of the group's mask bytes: multiplying by 0x204081 moves hit bit k to
+// bit 8k (the partial products do not overlap), and the product with bit
+// puts bit in each byte that holds a 1. Hits are counted per lane by
+// subtracting the all-ones compare masks from Y6.
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-216
+	MOVQ         mask_base+0(FP), DI
+	MOVQ         mask_len+8(FP), CX
+	MOVBLZX      bit+24(FP), R14
+	VBROADCASTSD base+32(FP), Y12
+	VBROADCASTSD cum+40(FP), Y13
+	VBROADCASTSD spanLo+48(FP), Y14
+	VBROADCASTSD spanHi+56(FP), Y15
+	MOVQ         noise_base+64(FP), R8
+	MOVQ         bias_base+88(FP), R9
+	MOVQ         snapP_base+112(FP), R10
+	MOVQ         snapC_base+136(FP), R11
+	MOVQ         lo_base+160(FP), R12
+	MOVQ         hi_base+184(FP), R13
+	XORQ         DX, DX
+	VPXOR        Y6, Y6, Y6
+	SHRQ         $2, CX
+	JZ           sweepSum
+
+sweepLoop:
+	VMOVUPD   (R11)(DX*8), Y0
+	VSUBPD    Y0, Y13, Y0
+	VADDPD    (R8)(DX*8), Y12, Y1
+	VADDPD    (R9)(DX*8), Y1, Y1
+	VADDPD    (R10)(DX*8), Y1, Y1
+	VSUBPD    Y0, Y1, Y2
+	VADDPD    Y0, Y1, Y3
+	VCMPPD    $0x11, Y14, Y2, Y4
+	VBLENDVPD Y4, Y14, Y2, Y2
+	VCMPPD    $0x1E, Y15, Y3, Y4
+	VBLENDVPD Y4, Y15, Y3, Y3
+	VCMPPD    $0x11, (R12)(DX*8), Y2, Y2
+	VCMPPD    $0x1E, (R13)(DX*8), Y3, Y3
+	VORPD     Y3, Y2, Y2
+	VPSUBQ    Y2, Y6, Y6
+	VMOVMSKPD Y2, AX
+	IMULL     $0x204081, AX
+	ANDL      $0x01010101, AX
+	IMULL     R14, AX
+	ORL       AX, (DI)(DX*1)
+	ADDQ      $4, DX
+	DECQ      CX
+	JNZ       sweepLoop
+
+sweepSum:
+	VEXTRACTI128 $1, Y6, X7
+	VPADDQ       X7, X6, X6
+	VPSHUFD      $0x4E, X6, X7
+	VPADDQ       X7, X6, X6
+	VMOVQ        X6, AX
+	VZEROUPPER
+	MOVQ         AX, ret+208(FP)
 	RET

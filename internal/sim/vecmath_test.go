@@ -8,17 +8,17 @@ import (
 )
 
 // kernelModes runs f once with the vector kernels as the host enables them
-// and once with both forced off, restoring the switches afterwards.
+// and once with all of them forced off, restoring the switches afterwards.
 func kernelModes(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	norm, exp := useNormKernel, useExpKernel
-	defer func() { useNormKernel, useExpKernel = norm, exp }()
+	norm, exp, sweep := useNormKernel, useExpKernel, useSweepKernel
+	defer func() { useNormKernel, useExpKernel, useSweepKernel = norm, exp, sweep }()
 	for _, on := range []bool{true, false} {
-		useNormKernel, useExpKernel = on && norm, on && exp
+		useNormKernel, useExpKernel, useSweepKernel = on && norm, on && exp, on && sweep
 		name := "kernels-off"
 		if on {
 			name = "kernels-host"
-			t.Logf("host kernels: polar %v, exp %v", norm, exp)
+			t.Logf("host kernels: polar %v, exp and plume %v, sweep %v", norm, exp, sweep)
 		}
 		t.Run(name, f)
 	}
@@ -190,4 +190,162 @@ func BenchmarkExps(b *testing.B) {
 			}
 		})
 	}
+}
+
+// plumeSumRef is PlumeSums' per-point contract in scalar Go.
+func plumeSumRef(v, x, y, slack float64, plumes []Plume) float64 {
+	for _, pl := range plumes {
+		dx, dy := x-pl.X, y-pl.Y
+		q := (dx*dx + dy*dy) / pl.Den
+		if !(q > pl.CullQ && q > pl.LnAmp1+slack) {
+			v += pl.Amp * math.Exp(-q)
+		}
+	}
+	return v
+}
+
+// TestPlumeSumsMatchesScalar holds PlumeSums to plumeSumRef bit for bit,
+// with the kernels as the host enables them and forced off, at lengths on
+// both sides of the 4-point group. The points mix near and far plumes,
+// cull slacks that keep everything (+Inf, NaN), signed-zero, negative and
+// NaN sums, and NaN, infinite and very distant coordinates whose kept
+// terms fall outside the kernel's exp range, so groups go back to the
+// scalar path; the host run must hand some back and keep most.
+func TestPlumeSumsMatchesScalar(t *testing.T) {
+	r := NewRNG(21)
+	plumes := make([]Plume, 5)
+	for j := range plumes {
+		sigma, amp := r.Range(15, 30), r.Range(6, 250)
+		plumes[j] = Plume{X: r.Range(0, 600), Y: r.Range(0, 600), Den: 2 * sigma * sigma,
+			LnAmp1: math.Log(amp) + 1, Amp: amp}
+		plumes[j].CullQ = plumes[j].LnAmp1 + 24*math.Ln2
+	}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e5, -3e4}
+	kernelModes(t, func(t *testing.T) {
+		handed, total := 0, 0
+		for _, n := range kernelLengths {
+			v, x, y, slack := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range v {
+				v[i], x[i], y[i] = r.Range(-50, 500), r.Range(0, 600), r.Range(0, 600)
+				slack[i] = r.Range(0, 40)
+				switch r.Intn(40) {
+				case 0:
+					slack[i] = math.Inf(1)
+				case 1:
+					slack[i] = math.NaN()
+				case 2:
+					v[i] = math.Copysign(0, -1)
+				case 3:
+					v[i] = math.NaN()
+				case 4:
+					x[i] = special[r.Intn(len(special))]
+				case 5:
+					y[i], slack[i] = special[r.Intn(len(special))], math.Inf(1)
+				}
+			}
+			want := make([]float64, n)
+			for i := range v {
+				want[i] = plumeSumRef(v[i], x[i], y[i], slack[i], plumes)
+			}
+			got := append([]float64(nil), v...)
+			PlumeSums(got, x, y, slack, plumes, func(lo, hi int) {
+				handed += hi - lo
+				for i := lo; i < hi; i++ {
+					got[i] = plumeSumRef(got[i], x[i], y[i], slack[i], plumes)
+				}
+			})
+			total += n
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n %d point %d (%v, %v) slack %v from %v: got %v (%#x), want %v (%#x)",
+						n, i, x[i], y[i], slack[i], v[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+		t.Logf("%d of %d points handed to the scalar path", handed, total)
+		if useExpKernel && (handed == 0 || handed > total/2) {
+			t.Fatalf("kernel handed back %d of %d points", handed, total)
+		}
+	})
+}
+
+// sweepRef is SweepWindows' per-pair contract in scalar Go.
+func sweepRef(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
+	noise, bias, snapP, snapC, lo, hi []float64) (hits int64) {
+	for i := range mask {
+		dev := cum - snapC[i]
+		c := base + noise[i] + bias[i] + snapP[i]
+		vlo, vhi := c-dev, c+dev
+		if vlo < spanLo {
+			vlo = spanLo
+		}
+		if vhi > spanHi {
+			vhi = spanHi
+		}
+		if vlo < lo[i] || vhi > hi[i] {
+			mask[i] |= bit
+			hits++
+		}
+	}
+	return hits
+}
+
+// TestSweepWindowsMatchesScalar holds SweepWindows (plus a scalar tail) to
+// sweepRef, with the kernels as the host enables them and forced off: mask
+// bytes that already carry other bits, windows straddling the bracket,
+// sentinel windows (±Inf either way round), NaN and infinite operands, and
+// brackets at the span's signed-zero edge.
+func TestSweepWindowsMatchesScalar(t *testing.T) {
+	r := NewRNG(5)
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	kernelModes(t, func(t *testing.T) {
+		for _, n := range kernelLengths {
+			for _, bit := range []uint8{1, 2, 4, 8} {
+				cols := make([][]float64, 6)
+				for c := range cols {
+					cols[c] = make([]float64, n)
+					for i := range cols[c] {
+						cols[c][i] = r.Range(-1, 1)
+						if r.Intn(50) == 0 {
+							cols[c][i] = odd[r.Intn(len(odd))]
+						}
+					}
+				}
+				noise, bias, snapP, snapC, lo, hi := cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
+				for i := range lo {
+					lo[i], hi[i] = lo[i]+r.Range(-1, 1), hi[i]+r.Range(-1, 1)
+					switch r.Intn(20) {
+					case 0:
+						lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+					case 1:
+						lo[i], hi[i] = math.Inf(-1), math.Inf(1)
+					}
+				}
+				mask := make([]uint8, n)
+				for i := range mask {
+					mask[i] = uint8(r.Intn(16)) &^ bit
+				}
+				want := append([]uint8(nil), mask...)
+				base, cum, spanLo, spanHi := r.Range(-1, 1), r.Range(0, 1), 0.0, 2.0
+				if bit == 2 {
+					spanLo, spanHi = -2, 0
+				}
+				wantHits := sweepRef(want, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, lo, hi)
+				done, hits := SweepWindows(mask, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, lo, hi)
+				if useSweepKernel && done != n&^3 || !useSweepKernel && done != 0 {
+					t.Fatalf("n %d: swept %d pairs", n, done)
+				}
+				hits += sweepRef(mask[done:], bit, base, cum, spanLo, spanHi,
+					noise[done:], bias[done:], snapP[done:], snapC[done:], lo[done:], hi[done:])
+				if hits != wantHits {
+					t.Fatalf("n %d bit %d: %d hits, want %d", n, bit, hits, wantHits)
+				}
+				for i := range mask {
+					if mask[i] != want[i] {
+						t.Fatalf("n %d bit %d pair %d: mask %#x, want %#x", n, bit, i, mask[i], want[i])
+					}
+				}
+			}
+		}
+	})
 }
