@@ -583,8 +583,8 @@ func (g *Generator) record(i int, t Type, base, v float64) {
 const evalChunk = 256
 
 // useKernels routes EvalNodes and ActiveSweep through sim's vector
-// kernels, which run the scalar path themselves on hosts without them. It
-// is a variable only so that tests can force the scalar path.
+// kernels, which leave the work to the scalar paths on hosts without
+// them. It is a variable only so that tests can force the scalar paths.
 var useKernels = true
 
 // evalScratch is EvalNodes' per-chunk scratch, kept by the generator so
