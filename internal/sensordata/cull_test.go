@@ -12,6 +12,10 @@ import (
 // paper's density stretched to 100·√(2000/50) m.
 var scaleSide = 100 * math.Sqrt(2000.0/50)
 
+// negligible is sim.PlumeSum's cull predicate for one term amp·exp(−q),
+// given lnAmp1 = ln(amp)+1 and slack = cullSlack(base).
+func negligible(slack, lnAmp1, q float64) bool { return q > lnAmp1+slack }
+
 // culledPairs counts, for the generator's current epoch, the (node, plume)
 // pairs eval skips and all pairs, for one type.
 func culledPairs(g *Generator, ty Type) (culled, total int) {
@@ -19,8 +23,9 @@ func culledPairs(g *Generator, ty Type) (culled, total int) {
 	day := f.day(g.epoch)
 	for i, pos := range g.positions {
 		slack := cullSlack(f.pairBase(i, day))
-		for j := range f.plumes {
-			if _, keep := expArg(&f.plumes[j], pos, slack); !keep {
+		for _, pl := range f.plumes {
+			dx, dy := pos.X-pl.X, pos.Y-pl.Y
+			if q := (dx*dx + dy*dy) / pl.Den; q > pl.CullQ && negligible(slack, pl.LnAmp1, q) {
 				culled++
 			}
 			total++
@@ -128,7 +133,7 @@ func TestNegligibleNeverChangesSum(t *testing.T) {
 			// Any normal exponent, any mantissa.
 			base = math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1022)
 		}
-		amp := math.Exp(rng.Range(-20, 40))
+		amp := sim.Exp(rng.Range(-20, 40))
 		lnAmp := math.Log(amp)
 		// Centre q on the threshold (clamped to what Exp can see) and jitter
 		// it by a few nats either side.
@@ -143,7 +148,7 @@ func TestNegligibleNeverChangesSum(t *testing.T) {
 			continue
 		}
 		skipped++
-		term := amp * math.Exp(-q)
+		term := amp * sim.Exp(-q)
 		if got := base + term; got != base {
 			t.Fatalf("base %v (%b) amp %v q %v: skipped term %v changes the sum to %v", base, base, amp, q, term, got)
 		}

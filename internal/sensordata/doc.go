@@ -29,14 +29,12 @@
 // with EvalNodes: core before its epoch worklist is applied, query before
 // it reads a query's candidates. The batch works type-major on chunks of
 // nodes, computing each stale pair's base and cull slack as the
-// single-pair path does, then the plume sums four nodes at a time in
-// sim.PlumeSums' AVX2 kernel: distance, both cull tests and the kept
-// terms' exponentials, added in plume order. Groups the kernel cannot take
-// (a kept exponent outside its range), and every group on hosts without
-// it, go through the scalar path: each exponent argument and cull
-// decision as eval makes them, one sim.Exps pass, then each node's sum in
-// plume order. So values, snapshots and the evaluation count are bit for
-// bit those of the lazy reads it replaces, and the per-node loop stays
-// the unbatched oracle. ActiveSweep's per-pair test runs four pairs at a
+// single-pair path does, then the plume sums in sim.PlumeSums: four nodes
+// at a time in its AVX2 kernel (distance, both cull tests and the kept
+// terms' exponentials, added in plume order), and through sim.PlumeSum,
+// the plume sum eval itself calls, for groups the kernel cannot take (a
+// kept exponent outside its range) and on hosts without it. So values,
+// snapshots and the evaluation count are bit for bit those of the lazy
+// reads it replaces. ActiveSweep's per-pair test runs four pairs at a
 // time in sim.SweepWindows where the host has AVX2.
 package sensordata

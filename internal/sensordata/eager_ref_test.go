@@ -76,7 +76,7 @@ func newEagerRef(positions []topology.Position, rng *sim.RNG) *eagerRef {
 				v := f.rng.NormFloat64() * p.BiasSigma * 0.3
 				for _, b := range bumps {
 					dx, dy := pos.X-b.x, pos.Y-b.y
-					v += b.amp * math.Exp(-(dx*dx+dy*dy)/(2*b.sigma*b.sigma))
+					v += b.amp * sim.Exp(-(dx*dx+dy*dy)/(2*b.sigma*b.sigma))
 				}
 				f.bias[i] = v
 			}
@@ -128,7 +128,7 @@ func (g *eagerRef) compute() {
 			v := base
 			for _, pl := range g.plumes[t] {
 				dx, dy := pos.X-pl.x, pos.Y-pl.y
-				v += pl.amp * math.Exp(-(dx*dx+dy*dy)/(2*pl.sigma*pl.sigma))
+				v += pl.amp * sim.Exp(-(dx*dx+dy*dy)/(2*pl.sigma*pl.sigma))
 			}
 			g.plume[i][t] = v - base
 			if v < lo {

@@ -3,7 +3,6 @@ package sensordata
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -133,16 +132,14 @@ const (
 	cullFloorSlack = 1 + 24*math.Ln2
 )
 
-// negligible reports whether adding amp·exp(−q), 0 < amp < 2^59, to any
-// sum v >= base leaves v bit-for-bit unchanged, given lnAmp1 = ln(amp)+1
-// and slack = cullSlack(base): the term is below ulp(base)/4 <= ulp(v)/4,
-// so round-to-nearest returns v. It is false whenever base is not a
-// positive normal number of at least 2^-959.
-func negligible(slack, lnAmp1, q float64) bool { return q > lnAmp1+slack }
-
-// cullSlack is the base's part of negligible's threshold, (1077−e)·ln 2
-// for biased exponent e, or +Inf where culling is off, which no q
-// exceeds. Evaluation computes it once per node.
+// cullSlack is the base's part of the cull threshold, (1077−e)·ln 2 for
+// biased exponent e, or +Inf where culling is off, which no q exceeds.
+// sim.PlumeSum drops a term amp·exp(−q), 0 < amp < 2^59, when q > ln(amp)
+// + 1 + slack with slack = cullSlack(base). Adding it to any sum v >= base
+// would leave v bit-for-bit unchanged: the term is below ulp(base)/4 <=
+// ulp(v)/4, so round-to-nearest returns v. Culling is off whenever base is
+// not a positive normal number of at least 2^-959. Evaluation computes the
+// slack once per node.
 func cullSlack(base float64) float64 {
 	e := int(math.Float64bits(base)>>52) & 0x7ff
 	if !(base > 0) || e < cullMinExp || e == 0x7ff {
@@ -158,7 +155,7 @@ func cullSlack(base float64) float64 {
 // amplitude is positive: it is drawn once at construction (see
 // NewGenerator) and never rebuilt, which is what lets eval cull a plume's
 // negligible far tail exactly. CullQ, ln(amp) + cullFloorSlack, is eval's
-// pre-filter for negligible.
+// slack-free pre-filter for that cull.
 type typeField struct {
 	params FieldParams
 	plumes []sim.Plume
@@ -307,7 +304,7 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 				v := f.rng.NormFloat64() * p.BiasSigma * 0.3
 				for _, b := range bumps {
 					dx, dy := pos.X-b.x, pos.Y-b.y
-					v += b.amp * math.Exp(-(dx*dx+dy*dy)/(2*b.sigma*b.sigma))
+					v += b.amp * sim.Exp(-(dx*dx+dy*dy)/(2*b.sigma*b.sigma))
 				}
 				f.bias[i] = v
 			}
@@ -317,7 +314,7 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 		// positive (PlumeAmp > 0 for every type, times U(0.6, 1.4)); eval's
 		// far-plume culling relies on it.
 		if p.Plumes > maxPlumes {
-			panic("sensordata: more than 64 plumes per type") // EvalNodes keeps one bit per plume
+			panic("sensordata: more than 64 plumes per type") // stepType's drift array
 		}
 		for i := 0; i < p.Plumes; i++ {
 			pl := sim.Plume{
@@ -487,9 +484,8 @@ func (g *Generator) stepType(t Type) {
 // noiseBlock is how many AR(1) innovations stepType draws per block.
 const noiseBlock = 256
 
-// maxPlumes bounds the plumes of one type: EvalNodes' scalar path keeps a
-// 64-bit keep mask per node, and stepType draws their drift into a stack
-// array.
+// maxPlumes bounds the plumes of one type: stepType draws their drift
+// into a stack array.
 const maxPlumes = 64
 
 // reflect folds v back into [0, limit]. Within 2·limit of the area the
@@ -517,20 +513,13 @@ func reflect(v, limit float64) float64 {
 //
 // A plume term that cannot change the sum is skipped without calling Exp.
 // Every term is positive, so with base > 0 each partial sum is >= base and
-// a term below ulp(base)/4 rounds away (see negligible); the result is bit
+// a term below ulp(base)/4 rounds away (see cullSlack); the result is bit
 // for bit the full sum's.
 func (g *Generator) eval(i int, t Type) {
 	f := g.fields[t]
 	pos := g.positions[i]
 	base := f.pairBase(i, f.day(g.epoch))
-	slack := cullSlack(base)
-	v := base
-	for j := range f.plumes {
-		pl := &f.plumes[j]
-		if x, keep := expArg(pl, pos, slack); keep {
-			v += pl.Amp * math.Exp(x)
-		}
-	}
+	v := sim.PlumeSum(base, pos.X, pos.Y, cullSlack(base), f.plumes)
 	g.record(i, t, base, v)
 	g.evals++
 	g.tel.Evals.Inc()
@@ -540,16 +529,6 @@ func (g *Generator) eval(i int, t Type) {
 // AR(1) noise and static bias.
 func (f *typeField) pairBase(i int, day float64) float64 {
 	return f.params.Base + day + f.noise[i] + f.bias[i]
-}
-
-// expArg returns the argument −q of the plume's term amp·exp(−q) at pos,
-// and whether that term can change a sum starting at a base whose
-// cullSlack is slack (false when negligible would cull it). Den is
-// 2·σ·σ, rounded as Go evaluates that product, left to right.
-func expArg(pl *sim.Plume, pos topology.Position, slack float64) (float64, bool) {
-	dx, dy := pos.X-pl.X, pos.Y-pl.Y
-	q := (dx*dx + dy*dy) / pl.Den
-	return -q, !(q > pl.CullQ && negligible(slack, pl.LnAmp1, q))
 }
 
 // record stores a fresh evaluation of node i for type t whose sum started
@@ -589,14 +568,11 @@ var useKernels = true
 
 // evalScratch is EvalNodes' per-chunk scratch, kept by the generator so
 // that batches allocate only while it grows to its first full chunk. The
-// float columns are indexed by position in the chunk; keep and args serve
-// the scalar path.
+// float columns are indexed by position in the chunk.
 type evalScratch struct {
 	node        []int32
 	base, v     []float64 // v: the sum, starting at base
 	x, y, slack []float64 // position and cullSlack(base)
-	keep        []uint64  // bit j: plume j's term survived the cull
-	args        []float64
 }
 
 // EvalNodes evaluates type t for every listed node whose value is stale at
@@ -605,9 +581,9 @@ type evalScratch struct {
 // calls would have produced; a repeated ID is evaluated once.
 //
 // The work is type-major and batched. For a chunk of nodes it computes
-// every base and cull slack exactly as eval does, then the plume sums:
-// four nodes at a time in sim.PlumeSums' kernel, or through sumTerms, the
-// scalar path, for groups the kernel hands back and on hosts without it.
+// every base and cull slack exactly as eval does, then the plume sums in
+// sim.PlumeSums, which takes four nodes at a time where the host has its
+// kernel and otherwise calls eval's sim.PlumeSum.
 func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
 	f := g.fields[t]
 	n := len(g.positions)
@@ -633,9 +609,11 @@ func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
 		}
 		b.v = append(b.v[:0], b.base...)
 		if useKernels {
-			sim.PlumeSums(b.v, b.x, b.y, b.slack, f.plumes, func(lo, hi int) { f.sumTerms(b, lo, hi) })
+			sim.PlumeSums(b.v, b.x, b.y, b.slack, f.plumes)
 		} else {
-			f.sumTerms(b, 0, len(b.v))
+			for m, v := range b.v {
+				b.v[m] = sim.PlumeSum(v, b.x[m], b.y[m], b.slack[m], f.plumes)
+			}
 		}
 		for m, i := range b.node {
 			g.record(int(i), t, b.base[m], b.v[m])
@@ -644,35 +622,6 @@ func (g *Generator) EvalNodes(t Type, ids []topology.NodeID) {
 	}
 	g.evals += uint64(count)
 	g.tel.Evals.Add(int64(count))
-}
-
-// sumTerms adds the plume terms of the chunk's nodes lo..hi−1 to their
-// sums the scalar way: every exponent argument and cull decision as eval
-// makes them, one sim.Exps pass over the surviving arguments, then each
-// node's terms in plume order.
-func (f *typeField) sumTerms(b *evalScratch, lo, hi int) {
-	b.keep, b.args = b.keep[:0], b.args[:0]
-	for m := lo; m < hi; m++ {
-		pos := topology.Position{X: b.x[m], Y: b.y[m]}
-		var keep uint64
-		for j := range f.plumes {
-			if x, ok := expArg(&f.plumes[j], pos, b.slack[m]); ok {
-				keep |= 1 << j
-				b.args = append(b.args, x)
-			}
-		}
-		b.keep = append(b.keep, keep)
-	}
-	sim.Exps(b.args)
-	a := 0
-	for m := lo; m < hi; m++ {
-		v := b.v[m]
-		for keep := b.keep[m-lo]; keep != 0; keep &= keep - 1 {
-			v += f.plumes[bits.TrailingZeros64(keep)].Amp * b.args[a]
-			a++
-		}
-		b.v[m] = v
-	}
 }
 
 // compute eagerly evaluates every node for every type (generator

@@ -3,11 +3,15 @@ package sim
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/scanner"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -261,4 +265,151 @@ func recvName(x ast.Expr) string {
 			return fmt.Sprintf("%T", x)
 		}
 	}
+}
+
+// mapRangeAllowlist names the functions under internal/ whose non-test code
+// walks a map with range (Go randomises the order), each with the reason
+// the walk cannot reach an output in map order. Keys are pkg.Func or
+// pkg.Recv.Func, as in testOnlyExportAllowlist.
+var mapRangeAllowlist = map[string]string{
+	"core.Protocol.Orphans": "collects the IDs, then sorts them",
+	"metrics.Eval":          "two walks that only count members of one set missing from the other",
+	"serve.sortedIDs":       "collects the IDs, then sorts them",
+	"telemetry.labelString": "collects the label names, then sorts them",
+}
+
+// TestNoUnorderedMapWalks guards against output that depends on Go's map
+// iteration order, which differs from run to run (RangeTable.Aggregate
+// once did). It type-checks every non-test package under internal/ and
+// fails on a range over a map, or over an iterator of package maps, in a
+// function that mapRangeAllowlist does not name. A stale entry fails too.
+func TestNoUnorderedMapWalks(t *testing.T) {
+	root := moduleRoot(t)
+	// The source importer reads build.Default. Without cgo it type-checks
+	// the pure-Go variants of net and os/user, which needs no C toolchain
+	// for the target.
+	defer func(on bool) { build.Default.CgoEnabled = on }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	found := map[string]bool{}
+	// check type-checks the module package at path, after the module
+	// packages it imports, and scans its range statements.
+	var check func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if strings.HasPrefix(path, "repro/") {
+			return check(path)
+		}
+		return std.Import(path)
+	})
+	check = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(path, "repro/")))
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		if !strings.HasPrefix(path, "repro/internal/") {
+			return pkg, nil
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				key := f.Name.Name + ".init"
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					key = f.Name.Name + "." + fn.Name.Name
+					if fn.Recv != nil {
+						key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok || !unorderedRange(info, rs.X) {
+						return true
+					}
+					found[key] = true
+					if _, ok := mapRangeAllowlist[key]; !ok {
+						pos := fset.Position(rs.Pos())
+						rel, _ := filepath.Rel(root, pos.Filename)
+						t.Errorf("%s:%d: %s ranges over a map, whose order Go randomises; iterate in a fixed order, or allowlist %s with the reason the order cannot reach an output",
+							rel, pos.Line, key, key)
+					}
+					return true
+				})
+			}
+		}
+		return pkg, nil
+	}
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		if _, err := check("repro/" + filepath.ToSlash(rel)); err != nil {
+			if _, none := err.(*build.NoGoError); !none {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale []string
+	for key := range mapRangeAllowlist {
+		if !found[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		t.Errorf("allowlist entry %s names no function that ranges over a map; remove the entry", key)
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// unorderedRange reports whether x, a range expression, is a map or a call
+// of one of package maps' iterators.
+func unorderedRange(info *types.Info, x ast.Expr) bool {
+	if tv, ok := info.Types[x]; ok {
+		if _, ok := tv.Type.Underlying().(*types.Map); ok {
+			return true
+		}
+	}
+	call, ok := x.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps"
 }

@@ -1,80 +1,29 @@
 package sim
 
-import "math"
-
-// Vector kernels. On amd64 hosts with AVX2 four assembly kernels take the
+// Vector kernels. On amd64 hosts with AVX2 three assembly kernels take the
 // hot loops of the field model, each a lane-for-lane replay of the scalar
-// math it replaces, so every output bit is unchanged:
+// Go it replaces, so every output bit is unchanged:
 //
 //   - the polar transform u·√(−2·ln s / s) behind NormFloat64s replays
 //     math.Log's amd64 assembly, a fixed sequence of plain IEEE operations
 //     that never depends on the CPU's features;
-//   - Exps replays the FMA path of math.Exp's amd64 assembly. math.Exp
-//     takes that path only when the CPU has AVX and FMA (and GODEBUG does
-//     not switch FMA off), so the kernel is enabled only after a one-time
-//     probe shows that the host's math.Exp agrees with it on inputs where
-//     the FMA and non-FMA paths differ;
 //   - PlumeSums computes Gaussian plume terms four points at a time: the
 //     squared distance over 2σ², both cull tests, and the kept terms
-//     through the same exp replay as Exps (one macro in the assembly), so
-//     it is on exactly where the exp kernel is;
+//     through Exp's steps, fused where Exp calls math.FMA, so it also
+//     needs FMA;
 //   - SweepWindows reconstructs the activity sweep's bracket of a reading
 //     and tests it against its window, four pairs at a time.
 //
-// Every lane operation is a plain IEEE add, subtract, multiply, divide,
-// compare or blend, never fused except where the replayed math.Exp fuses,
-// so each lane rounds exactly as the scalar Go expression it replaces.
-// Elsewhere, and wherever a kernel is off, the scalar loops run. The
-// switches are variables only so that tests can force the kernels off.
+// Every other lane operation is a plain IEEE add, subtract, multiply,
+// divide, compare or blend, so each lane rounds exactly as the scalar Go
+// expression it replaces. Elsewhere, and wherever a kernel is off, the
+// scalar loops run. The switches are variables only so that tests can
+// force the kernels off.
 var (
 	useNormKernel  = haveAVX2
-	useExpKernel   = haveAVX2 && haveFMA && expProbe()
+	usePlumeKernel = haveAVX2 && haveFMA
 	useSweepKernel = haveAVX2
 )
-
-// expProbeInputs are arguments on which math.Exp's amd64 FMA and non-FMA
-// paths round differently (a test replays both paths to keep it so).
-var expProbeInputs = [8]float64{
-	-0.009983, -0.099996, -0.999955, -1.99994, -4.99991, -9.99995, -19.9994, -39.9994,
-}
-
-// expProbe reports whether the exp kernel reproduces math.Exp on the probe
-// inputs, i.e. whether this host's math.Exp takes the path the kernel
-// replays.
-func expProbe() bool {
-	x := expProbeInputs
-	if expAVX2(x[:]) != len(x) {
-		return false
-	}
-	for i, v := range expProbeInputs {
-		if math.Float64bits(x[i]) != math.Float64bits(math.Exp(v)) {
-			return false
-		}
-	}
-	return true
-}
-
-// Exps replaces every x[i] with math.Exp(x[i]), bit for bit. The kernel
-// handles 4-lane blocks whose lanes all lie in [−708, 0], where math.Exp
-// has neither a special case nor a subnormal result; any other block, and
-// the tail, goes through math.Exp element by element.
-func Exps(x []float64) {
-	if useExpKernel {
-		for len(x) >= 4 {
-			x = x[expAVX2(x):]
-			if len(x) < 4 {
-				break
-			}
-			for j := range 4 {
-				x[j] = math.Exp(x[j])
-			}
-			x = x[4:]
-		}
-	}
-	for i, v := range x {
-		x[i] = math.Exp(v)
-	}
-}
 
 // polarScales applies polarScale to every (u[j], s[j]) in place. Every
 // s[j] must be an accepted polar radius (0 < s < 1; polarPair makes it a
@@ -103,18 +52,36 @@ type Plume struct {
 	Amp    float64
 }
 
-// PlumeSums adds to each v[i] the terms of plumes at (x[i], y[i]) that a
-// sum with cull slack slack[i] keeps, in plume order, each as
-// v[i] += Amp·math.Exp(−q). The kernel takes four points at a time (a
-// short tail padded with copies of its last point). It hands a group back
-// to scalar(lo, hi), which must add the same terms to v[lo:hi], when one
-// of its kept terms has an exponent argument outside [−708, 0] (NaN
-// included, where math.Exp has its special cases); where the kernel is off
-// it hands over everything.
-func PlumeSums(v, x, y, slack []float64, plumes []Plume, scalar func(lo, hi int)) {
+// PlumeSum returns v plus the terms Amp·Exp(−q) of plumes at (x, y), in
+// plume order, skipping each term that a sum with cull slack slack drops.
+// Products are rounded explicitly, so no target fuses them. It is the
+// field's one scalar plume sum, and PlumeSums' kernel replays it.
+func PlumeSum(v, x, y, slack float64, plumes []Plume) float64 {
+	for i := range plumes {
+		pl := &plumes[i]
+		dx, dy := x-pl.X, y-pl.Y
+		q := (float64(dx*dx) + float64(dy*dy)) / pl.Den
+		if !(q > pl.CullQ && q > pl.LnAmp1+slack) {
+			v += float64(pl.Amp * Exp(-q))
+		}
+	}
+	return v
+}
+
+// PlumeSums sets each v[i] to PlumeSum(v[i], x[i], y[i], slack[i],
+// plumes). The kernel takes four points at a time (a short tail padded
+// with copies of its last point). A group with a kept term whose exponent
+// argument lies outside [−708, 0] (NaN included, where Exp has its special
+// cases), and every point where the kernel is off, goes through PlumeSum.
+func PlumeSums(v, x, y, slack []float64, plumes []Plume) {
 	n := len(v)
 	x, y, slack = x[:n], y[:n], slack[:n]
-	if !useExpKernel {
+	scalar := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v[i] = PlumeSum(v[i], x[i], y[i], slack[i], plumes)
+		}
+	}
+	if !usePlumeKernel {
 		scalar(0, n)
 		return
 	}

@@ -32,14 +32,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// expAVX2 replaces x[i] with math.Exp(x[i]) 4-lane block by block, in
-// place, using AVX2 and FMA. It stops before the first block with a lane
-// outside [−708, 0] (NaN included) and returns how many elements it
-// replaced, a multiple of 4.
-//
-//go:noescape
-func expAVX2(x []float64) int
-
 // polarScaleAVX2 sets u[j] = polarScale(u[j], s[j]) for the first
 // len(u)&^3 elements, using AVX2. len(s) must be at least len(u) and every
 // s[j] normal and in (0, 1).

@@ -26,7 +26,7 @@ VEC4(cvtMagic, $0x4330000000000000)
 VEC4(logBias, $1022.0)
 VEC4(polarMinus2, $-2.0)
 
-// Constants of math.Exp's amd64 assembly (exp_amd64.s).
+// Constants of Exp (exp.go), which are those of math.Exp's amd64 assembly.
 VEC4(expLog2e, $1.4426950408889634073599246810018920)
 VEC4(expLn2U, $0.69314718055966295651160180568695068359375)
 VEC4(expLn2L, $0.28235290563031577122588448175013436025525412068e-12)
@@ -149,12 +149,14 @@ polarDone:
 	RET
 
 // EXP4 replaces each lane of Y0, all of which must lie in [−708, 0], with
-// its math.Exp: the avxfma path of exp_amd64.s, operation for operation,
-// with the steps commented in expAVX2 below. For x in [−708, 0] the
-// exponent k = round(x·log2(e)) lies in [−1021, 0], so archExp's overflow,
-// underflow and subnormal branches are never taken. It clobbers Y1 and Y3.
-// This is the field model's one exp replay: expAVX2 and plumeSumsAVX2 both
-// expand it.
+// its Exp, step for step:
+//   - k := round(x·log2(e)) as int32 and as float64;
+//   - x −= k·Ln2U; x −= k·Ln2L (both fused); x *= 1/16;
+//   - the Taylor series in Horner form with fused steps;
+//   - four squarings x = x·(x + 2), the last one fused with + 1;
+//   - x·2^k, with 2^k built from the biased exponent k + 1023 in [2, 1023].
+// For x in [−708, 0], k lies in [−1021, 0], so Exp's overflow and
+// subnormal branches are never taken. It clobbers Y1 and Y3.
 #define EXP4 \
 	VMULPD       expLog2e<>(SB), Y0, Y1; \
 	VCVTPD2DQY   Y1, X3; \
@@ -191,41 +193,6 @@ polarDone:
 	VCMPPD    $0x12, expZero<>(SB), Y0, Y2; \
 	VANDPD    Y2, Y1, Y1; \
 	VMOVMSKPD Y1, AX
-
-// func expAVX2(x []float64) int
-//
-// Per lane, EXP4, which is archExp's avxfma path:
-//   - k := round(x·log2(e)) as int32 and as float64;
-//   - x −= k·Ln2U; x −= k·Ln2L (both fused); x *= 1/16;
-//   - the Taylor series in Horner form with fused steps;
-//   - four squarings x = x·(x + 2), the last one fused with + 1;
-//   - x·2^k, with 2^k built from the biased exponent k + 1023 in [2, 1023].
-TEXT ·expAVX2(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	XORQ DX, DX
-	SHRQ $2, CX
-	JZ   expDone
-
-expLoop:
-	VMOVUPD (DI), Y0
-	// Stop at a block with a lane outside [−708, 0] or NaN.
-	EXPRANGE
-	CMPQ    AX, $15
-	JNE     expStop
-	EXP4
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $4, DX
-	DECQ    CX
-	JNZ     expLoop
-
-expStop:
-	VZEROUPPER
-
-expDone:
-	MOVQ DX, ret+24(FP)
-	RET
 
 // func plumeSumsAVX2(v, x, y, slack []float64, plumes []Plume) int
 //

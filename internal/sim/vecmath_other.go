@@ -5,8 +5,6 @@ package sim
 // The vector kernels exist only on amd64; elsewhere the scalar loops run.
 const haveAVX2, haveFMA = false, false
 
-func expAVX2(x []float64) int { panic("sim: no exp kernel on this architecture") }
-
 func polarScaleAVX2(u, s []float64) { panic("sim: no polar kernel on this architecture") }
 
 func plumeSumsAVX2(v, x, y, slack []float64, plumes []Plume) int {

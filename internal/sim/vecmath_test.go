@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -11,14 +9,14 @@ import (
 // and once with all of them forced off, restoring the switches afterwards.
 func kernelModes(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	norm, exp, sweep := useNormKernel, useExpKernel, useSweepKernel
-	defer func() { useNormKernel, useExpKernel, useSweepKernel = norm, exp, sweep }()
+	norm, plume, sweep := useNormKernel, usePlumeKernel, useSweepKernel
+	defer func() { useNormKernel, usePlumeKernel, useSweepKernel = norm, plume, sweep }()
 	for _, on := range []bool{true, false} {
-		useNormKernel, useExpKernel, useSweepKernel = on && norm, on && exp, on && sweep
+		useNormKernel, usePlumeKernel, useSweepKernel = on && norm, on && plume, on && sweep
 		name := "kernels-off"
 		if on {
 			name = "kernels-host"
-			t.Logf("host kernels: polar %v, exp and plume %v, sweep %v", norm, exp, sweep)
+			t.Logf("host kernels: polar %v, plume %v, sweep %v", norm, plume, sweep)
 		}
 		t.Run(name, f)
 	}
@@ -62,143 +60,13 @@ func TestPolarScalesEdgeInputs(t *testing.T) {
 	})
 }
 
-// TestExpsMatchesMathExp checks Exps against math.Exp bit for bit, with the
-// exp kernel on and off: on random arguments across the kernel's range and
-// beyond it (where blocks fall back), and on the edge inputs in every lane
-// position so that each lands in a kernel block and in a fallback block.
-func TestExpsMatchesMathExp(t *testing.T) {
-	edges := []float64{-708, -707.99, 0, math.Copysign(0, -1), -745, math.Inf(-1), math.NaN(),
-		-709, -1e-300, 5e-324, 1, 710, math.Inf(1), -0.5}
-	kernelModes(t, func(t *testing.T) {
-		check := func(name string, x []float64) {
-			t.Helper()
-			got := append([]float64(nil), x...)
-			Exps(got)
-			for i, v := range x {
-				want := math.Exp(v)
-				if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
-					t.Fatalf("%s: Exp(%v) = %v, want %v", name, v, got[i], want)
-				}
-			}
-		}
-		r := NewRNG(11)
-		for _, n := range kernelLengths {
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = -r.Range(0, 40)
-				if i%97 == 13 {
-					x[i] = -r.Range(700, 760)
-				}
-			}
-			check(fmt.Sprintf("n%d", n), x)
-		}
-		for _, v := range edges {
-			for pos := range 4 {
-				x := []float64{-1, -2, -3, -4, -5, -6, -7, -8}
-				x[pos] = v
-				x[4+pos] = v
-				check(fmt.Sprintf("edge %v lane %d", v, pos), x)
-			}
-		}
-	})
-}
-
-// The two paths of math.Exp's amd64 assembly (exp_amd64.s), replayed in Go
-// step by step: expFMAPath with math.FMA where the assembly fuses, expPlainPath
-// with every product rounded. Neither depends on the host.
-const (
-	expLog2e = 1.4426950408889634073599246810018920
-	expLn2U  = 0.69314718055966295651160180568695068359375
-	expLn2L  = 0.28235290563031577122588448175013436025525412068e-12
-)
-
-var expTaylor = [...]float64{2.4801587301587301587e-5, 1.9841269841269841270e-4,
-	1.3888888888888888889e-3, 8.3333333333333333333e-3, 4.1666666666666666667e-2,
-	1.6666666666666666667e-1, 0.5, 1.0}
-
-func expPath(x float64, fused bool) float64 {
-	fma := func(a, b, c float64) float64 {
-		if fused {
-			return math.FMA(a, b, c)
-		}
-		return float64(a*b) + c
-	}
-	k := math.RoundToEven(x * expLog2e)
-	x = fma(-k, expLn2U, x)
-	x = fma(-k, expLn2L, x)
-	x *= 0.0625
-	p := expTaylor[0]
-	for _, c := range expTaylor[1:] {
-		p = fma(p, x, c)
-	}
-	x *= p
-	for range 3 {
-		x *= x + 2
-	}
-	x = fma(x+2, x, 1)
-	return x * math.Float64frombits(uint64(int64(k)+1023)<<52)
-}
-
-// TestExpProbeSeparatesPaths proves the probe's premise: on every probe
-// input the FMA and non-FMA paths of math.Exp differ, so a host whose
-// math.Exp takes the non-FMA path fails the probe. Both replicas are then
-// checked against the host: math.Exp must agree with one of them on a
-// sweep of eval's range (on amd64, where it is that assembly), and the exp
-// probe passes exactly when it agrees with the FMA one.
-func TestExpProbeSeparatesPaths(t *testing.T) {
-	for _, x := range expProbeInputs {
-		if expPath(x, true) == expPath(x, false) {
-			t.Fatalf("probe input %v: both paths give %v", x, expPath(x, true))
-		}
-	}
-	fmaHost, plainHost := true, true
-	for i := range 200000 {
-		x := -40 * float64(i) / 200000
-		m := math.Exp(x)
-		fmaHost = fmaHost && m == expPath(x, true)
-		plainHost = plainHost && m == expPath(x, false)
-	}
-	t.Logf("host math.Exp: FMA path %v, non-FMA path %v", fmaHost, plainHost)
-	if haveAVX2 && haveFMA && expProbe() != fmaHost {
-		t.Fatalf("probe %v, but math.Exp matches the FMA path: %v", expProbe(), fmaHost)
-	}
-	if runtime.GOARCH == "amd64" && !fmaHost && !plainHost {
-		t.Fatal("math.Exp matches neither replica of its amd64 assembly")
-	}
-}
-
-// BenchmarkExps times Exps over 4096 arguments spread across [−40, 0], the
-// range field evaluation feeds it, with the exp kernel as the host enables
-// it and forced off.
-func BenchmarkExps(b *testing.B) {
-	src := make([]float64, 4096)
-	r := NewRNG(1)
-	for i := range src {
-		src[i] = -r.Range(0, 40)
-	}
-	x := make([]float64, len(src))
-	for _, c := range []struct {
-		name string
-		on   bool
-	}{{"kernel", true}, {"kernel-off", false}} {
-		b.Run(c.name, func(b *testing.B) {
-			defer func(on bool) { useExpKernel = on }(useExpKernel)
-			useExpKernel = useExpKernel && c.on
-			for range b.N {
-				copy(x, src)
-				Exps(x)
-			}
-		})
-	}
-}
-
-// plumeSumRef is PlumeSums' per-point contract in scalar Go.
+// plumeSumRef is PlumeSum's contract written out.
 func plumeSumRef(v, x, y, slack float64, plumes []Plume) float64 {
 	for _, pl := range plumes {
 		dx, dy := x-pl.X, y-pl.Y
 		q := (dx*dx + dy*dy) / pl.Den
 		if !(q > pl.CullQ && q > pl.LnAmp1+slack) {
-			v += pl.Amp * math.Exp(-q)
+			v += pl.Amp * Exp(-q)
 		}
 	}
 	return v
@@ -209,8 +77,9 @@ func plumeSumRef(v, x, y, slack float64, plumes []Plume) float64 {
 // both sides of the 4-point group. The points mix near and far plumes,
 // cull slacks that keep everything (+Inf, NaN), signed-zero, negative and
 // NaN sums, and NaN, infinite and very distant coordinates whose kept
-// terms fall outside the kernel's exp range, so groups go back to the
-// scalar path; the host run must hand some back and keep most.
+// terms fall outside the kernel's exp range, so groups go back to
+// PlumeSum; where the kernel is on, it must refuse some 4-point groups and
+// take most.
 func TestPlumeSumsMatchesScalar(t *testing.T) {
 	r := NewRNG(21)
 	plumes := make([]Plume, 5)
@@ -222,7 +91,7 @@ func TestPlumeSumsMatchesScalar(t *testing.T) {
 	}
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e5, -3e4}
 	kernelModes(t, func(t *testing.T) {
-		handed, total := 0, 0
+		refused, total := 0, 0
 		for _, n := range kernelLengths {
 			v, x, y, slack := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 			for i := range v {
@@ -248,13 +117,14 @@ func TestPlumeSumsMatchesScalar(t *testing.T) {
 				want[i] = plumeSumRef(v[i], x[i], y[i], slack[i], plumes)
 			}
 			got := append([]float64(nil), v...)
-			PlumeSums(got, x, y, slack, plumes, func(lo, hi int) {
-				handed += hi - lo
-				for i := lo; i < hi; i++ {
-					got[i] = plumeSumRef(got[i], x[i], y[i], slack[i], plumes)
+			PlumeSums(got, x, y, slack, plumes)
+			if usePlumeKernel {
+				for k := 0; k+4 <= n; k += 4 {
+					g := append([]float64(nil), v[k:k+4]...)
+					refused += 4 - plumeSumsAVX2(g, x[k:], y[k:], slack[k:], plumes)
 				}
-			})
-			total += n
+				total += n &^ 3
+			}
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("n %d point %d (%v, %v) slack %v from %v: got %v (%#x), want %v (%#x)",
@@ -262,9 +132,11 @@ func TestPlumeSumsMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%d of %d points handed to the scalar path", handed, total)
-		if useExpKernel && (handed == 0 || handed > total/2) {
-			t.Fatalf("kernel handed back %d of %d points", handed, total)
+		if usePlumeKernel {
+			t.Logf("the kernel refused %d of %d points in whole groups", refused, total)
+			if refused == 0 || refused > total/2 {
+				t.Fatalf("kernel refused %d of %d points", refused, total)
+			}
 		}
 	})
 }
