@@ -5,8 +5,9 @@ package dirq
 // scale suitable for `go test -bench=.`; the full-scale regeneration runs
 // via `go run ./cmd/dirqexp`. Reported custom metrics carry the headline
 // quantities (cost fraction vs flooding, overshoot). Ablation benches
-// cover the design choices DESIGN.md calls out, and micro-benches cover
-// the hot substrate paths.
+// switch off one design choice each (hysteresis, the ATC's feedback term,
+// a loss-free channel, live range updates), and micro-benches cover the
+// hot substrate paths.
 
 import (
 	"io"
@@ -142,7 +143,7 @@ func BenchmarkAllExperimentsSequential(b *testing.B) {
 	}
 }
 
-// --- Ablation benches: design choices called out in DESIGN.md ---
+// --- Ablation benches: one design choice switched off each ---
 
 // BenchmarkAblationZeroDelta disables hysteresis/suppression entirely
 // (δ=0): every reading change propagates, maximizing accuracy and update

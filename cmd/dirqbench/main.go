@@ -379,12 +379,21 @@ func loadFile(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	f, err := decodeFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return f, nil
+}
+
+// decodeFile decodes and validates the contents of a bench file.
+func decodeFile(data []byte) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: not valid JSON: %v", path, err)
+		return nil, fmt.Errorf("not valid JSON: %v", err)
 	}
 	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+		return nil, err
 	}
 	return &f, nil
 }

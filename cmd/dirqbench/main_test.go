@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -260,4 +261,42 @@ func TestCompareScaleGate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzFileValidate feeds bench file contents through decodeFile, the
+// decode and File.Validate that loadFile runs. It may not panic, and a
+// file it accepts must re-marshal to bytes that decode and validate to an
+// equal file. The corpus is seeded from the committed baselines. Run it
+// with
+//
+//	go test -run '^$' -fuzz '^FuzzFileValidate$' -fuzztime 20s -fuzzminimizetime 100x ./cmd/dirqbench/
+//
+// The seeds are about 10 KB each, and minimizing each new input that
+// widens coverage under the default 60 s budget would take the whole run;
+// 100 executions per minimization keeps it fuzzing.
+func FuzzFileValidate(f *testing.F) {
+	for _, name := range []string{"BENCH_pr10.json", "BENCH_pr22.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeFile(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("re-marshaling %+v: %v", b, err)
+		}
+		b2, err := decodeFile(enc)
+		if err != nil {
+			t.Fatalf("re-marshaled file %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(b, b2) {
+			t.Fatalf("re-marshaled file %s decodes to %+v, want %+v", enc, b2, b)
+		}
+	})
 }

@@ -12,15 +12,12 @@
 //	dirqd [-addr :8080] [-shards 2] [-nodes 50] [-mode fixed|atc]
 //	      [-delta 5] [-rho 0.4] [-seed 1] [-loss 0] [-hetero]
 //	      [-horizon 0] [-step 25] [-settle 0] [-tick 2ms] [-trace 256]
-//	      [-queue 256] [-maxbatch 0] [-route round-robin|least-loaded]
-//	      [-chaos script.json]
+//	      [-queue 256] [-chaos script.json]
 //
 // -queue bounds each shard's admission queue: a full queue sheds new
 // queries with 429 Too Many Requests (plus a Retry-After hint) instead
-// of queueing without limit. -maxbatch caps how many queued queries one
-// scheduler pass admits (0 = the queue bound), smoothing latency under
-// bursts. -route picks the placement of un-pinned queries: round-robin
-// or least-loaded (smallest live admission backlog).
+// of queueing without limit. Queries that do not name a shard are
+// placed round-robin.
 //
 // -chaos loads a scenario-dynamics script (see internal/script and the
 // README's "Scripting scenarios") and runs its timeline on every shard
@@ -112,15 +109,8 @@ func main() {
 	tick := flag.Duration("tick", 2*time.Millisecond, "idle pacing between simulation passes")
 	traceN := flag.Int("trace", 256, "protocol-event ring buffer per shard (0 = off)")
 	queue := flag.Int("queue", 0, "admission queue bound per shard (0 = default 256); a full queue sheds with 429")
-	maxBatch := flag.Int("maxbatch", 0, "max queued queries admitted per scheduler pass (0 = the queue bound)")
-	route := flag.String("route", "round-robin", "un-pinned query placement: round-robin or least-loaded")
 	chaosPath := flag.String("chaos", "", "scenario-dynamics script applied to every shard while serving")
 	flag.Parse()
-
-	routing, err := serve.ParseRouting(*route)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var chaos []script.Event
 	if *chaosPath != "" {
@@ -167,7 +157,6 @@ func main() {
 			SettleEpochs: *settle,
 			Tick:         *tick,
 			QueueDepth:   *queue,
-			MaxBatch:     *maxBatch,
 			Chaos:        chaos,
 			Clock:        func() int64 { return time.Now().UnixNano() },
 		}
@@ -176,7 +165,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr.SetRouting(routing)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -188,9 +188,6 @@ func (c *Controller) Retune(pct float64) {
 	c.deltaPct = clamp(c.deltaPct, c.cfg.MinPct, c.cfg.MaxPct)
 }
 
-// Budget exposes the current per-hour budget.
-func (c *Controller) Budget() float64 { return c.budget }
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

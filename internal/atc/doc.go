@@ -6,7 +6,7 @@
 //
 // The ICPPW'06 paper defers the controller internals to its unavailable
 // companion paper [13], specifying only the inputs and the goal. This
-// implementation (documented in DESIGN.md as a substitution) uses exactly
+// implementation is a substitution for that design and uses exactly
 // those inputs:
 //
 //   - Budgeting. The root derives, from the §5 cost model applied to the

@@ -14,11 +14,3 @@ func (p *Protocol) GatedDeployed(i int) bool { return p.hot.gate[i] && p.hot.dep
 // SweepApply runs one epoch's activity sweep and worklist apply, without
 // stepping the field or ticking controllers.
 func (p *Protocol) SweepApply() { p.sweepApply() }
-
-// SetBatchEval switches sweepApply's batched field evaluation and returns
-// a function that restores the previous setting.
-func SetBatchEval(on bool) (restore func()) {
-	prev := batchEval
-	batchEval = on
-	return func() { batchEval = prev }
-}

@@ -77,18 +77,6 @@ type Telemetry struct {
 	Retunes *telemetry.Counter
 }
 
-// DefaultConfig returns the paper-default parameters: 100 epochs per hour,
-// k=8, d=10, fixed δ=5 %.
-func DefaultConfig() Config {
-	return Config{
-		EpochsPerHour:  100,
-		MaxFanout:      8,
-		MaxDepth:       10,
-		Controllers:    func(topology.NodeID) Controller { return &FixedController{Pct: 5} },
-		PredictorAlpha: 0.3,
-	}
-}
-
 // QueryRecord tracks one query's dissemination outcome against its
 // ground truth at injection time.
 type QueryRecord struct {
@@ -316,17 +304,13 @@ func (p *Protocol) sweepApply() {
 	h.active = p.gen.ActiveSweep(&h.lo, &h.hi, h.mask, h.active[:0])
 	p.cfg.Telemetry.ActiveSetSize.Observe(float64(len(h.active)))
 	p.cfg.Telemetry.ActiveNodes.Add(int64(len(h.active)))
-	if batchEval && p.cfg.Sampler == nil {
+	if p.cfg.Sampler == nil {
 		p.evalFlagged()
 	}
 	for _, ai := range h.active {
 		p.applyActive(int(ai))
 	}
 }
-
-// batchEval switches sweepApply's batched field evaluation; it is a
-// variable only so that tests can compare against the unbatched loop.
-var batchEval = true
 
 // evalFlagged evaluates, one type at a time through the generator's batch
 // path, every flagged pair of the live, deployed worklist nodes. These are

@@ -73,10 +73,16 @@ func (tn *testNet) run(until sim.Time) {
 	tn.engine.RunUntil(until)
 }
 
+// fixedCfg returns the paper-default parameters (100 epochs per hour, k=8,
+// d=10) with a fixed δ of pct on every node.
 func fixedCfg(pct float64) Config {
-	cfg := DefaultConfig()
-	cfg.Controllers = func(topology.NodeID) Controller { return &FixedController{Pct: pct} }
-	return cfg
+	return Config{
+		EpochsPerHour:  100,
+		MaxFanout:      8,
+		MaxDepth:       10,
+		Controllers:    func(topology.NodeID) Controller { return &FixedController{Pct: pct} },
+		PredictorAlpha: 0.3,
+	}
 }
 
 func TestProtocolValidation(t *testing.T) {

@@ -80,12 +80,21 @@ func LoadRepro(path string) (Repro, error) {
 	if err != nil {
 		return Repro{}, err
 	}
-	var r Repro
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := decodeRepro(data)
+	if err != nil {
 		return Repro{}, fmt.Errorf("diffuzz: %s: %w", path, err)
 	}
+	return r, nil
+}
+
+// decodeRepro decodes and validates the contents of one repro file.
+func decodeRepro(data []byte) (Repro, error) {
+	var r Repro
+	if err := json.Unmarshal(data, &r); err != nil {
+		return Repro{}, err
+	}
 	if err := r.Validate(); err != nil {
-		return Repro{}, fmt.Errorf("diffuzz: %s: %w", path, err)
+		return Repro{}, err
 	}
 	return r, nil
 }

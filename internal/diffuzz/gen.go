@@ -21,14 +21,12 @@ type Case struct {
 	Seed   uint64          `json:"seed"`
 	Cfg    scenario.Config `json:"config"`
 	Script *script.Script  `json:"script"`
-	// QueueDepth / MaxBatch, when non-zero, bound the serve oracle's
-	// admission queue and drain batch, so the oracle exercises the
-	// backpressure path: concurrent submissions may shed with
-	// ErrOverloaded, and the shed queries must leave no trace in the
-	// admission log. Zero means the serve defaults (additive JSON —
-	// older corpus entries decode with the knobs off).
+	// QueueDepth, when non-zero, bounds the serve oracle's admission
+	// queue, so the oracle exercises the backpressure path: concurrent
+	// submissions may shed with ErrOverloaded, and the shed queries must
+	// leave no trace in the admission log. Zero means the serve default
+	// (additive JSON — older corpus entries decode with the knob off).
 	QueueDepth int `json:"queue_depth,omitempty"`
-	MaxBatch   int `json:"max_batch,omitempty"`
 }
 
 // nodeLadder is the usual network-size menu; shrinking walks it downward.
@@ -59,14 +57,13 @@ func GenerateSized(seed uint64, nodes int) Case {
 	cfg := genConfig(rng, nodes)
 	r := buildable(&cfg)
 	c := Case{Seed: seed, Cfg: cfg, Script: genScript(rng, seed, cfg, r)}
-	// Backpressure knobs come from their own stream so their addition
-	// left every pre-existing seed's config and script untouched. Depths
-	// of 1..4 against the serve oracle's 8 concurrent clients make real
+	// The queue bound comes from its own stream so its addition left
+	// every pre-existing seed's config and script untouched. Depths of
+	// 1..4 against the serve oracle's 8 concurrent clients make real
 	// shedding plausible without starving the run entirely.
 	brng := sim.NewRNG(seed).Stream("diffuzz/backpressure")
 	if brng.Bool(0.4) {
 		c.QueueDepth = 1 + brng.Intn(4)
-		c.MaxBatch = 1 + brng.Intn(c.QueueDepth)
 	}
 	return c
 }
@@ -90,8 +87,7 @@ func buildable(cfg *scenario.Config) *scenario.Runner {
 // genConfig draws one scenario configuration: ScaleDefault geometry at a
 // random size, random workload and controller knobs, and each optional
 // subsystem (heterogeneous mounts, lossy radio, energy, predictive
-// sampling, the flooding baseline, load phases) enabled with a fixed
-// probability.
+// sampling, the flooding baseline) enabled with a fixed probability.
 func genConfig(rng *sim.RNG, forceNodes int) scenario.Config {
 	nodes := nodeLadder[rng.Intn(len(nodeLadder))]
 	if rng.Bool(0.1) {
@@ -139,12 +135,6 @@ func genConfig(rng *sim.RNG, forceNodes int) scenario.Config {
 	}
 	if rng.Bool(0.1) {
 		cfg.DisseminateByFlooding = true
-	}
-	if rng.Bool(0.2) {
-		cfg.LoadPhases = []scenario.LoadPhase{
-			{Until: cfg.Epochs / 3, Interval: int64(3 + rng.Intn(20))},
-			{Until: 2 * cfg.Epochs / 3, Interval: int64(3 + rng.Intn(40))},
-		}
 	}
 	return cfg
 }
@@ -213,13 +203,10 @@ func randType(rng *sim.RNG) string {
 }
 
 // clone deep-copies the case so shrink candidates never alias the
-// original's script or load-phase slices.
+// original's script.
 func (c Case) clone() Case {
 	s := *c.Script
 	s.Events = append([]script.Event(nil), c.Script.Events...)
 	c.Script = &s
-	if c.Cfg.LoadPhases != nil {
-		c.Cfg.LoadPhases = append([]scenario.LoadPhase(nil), c.Cfg.LoadPhases...)
-	}
 	return c
 }

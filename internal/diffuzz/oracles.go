@@ -289,7 +289,6 @@ func manualDrive(c Case, fine bool) ([]byte, *scenario.Result, error) {
 func oracleServe(c Case) error {
 	scn := c.Cfg
 	scn.Script = nil
-	scn.LoadPhases = nil
 	// The serving horizon is open-ended: the clients and settle windows,
 	// not the case horizon, bound how far the shard simulates.
 	scn.Epochs = 1 << 20
@@ -306,11 +305,10 @@ func oracleServe(c Case) error {
 		StepEpochs: 16,
 		Tick:       200 * time.Microsecond,
 		Chaos:      chaos,
-		// Case-drawn backpressure knobs (zero: serve defaults). With a
-		// tight queue some of the concurrent submissions below shed, and
-		// the oracle then also proves shedding leaves no log trace.
+		// Case-drawn queue bound (zero: the serve default). With a tight
+		// queue some of the concurrent submissions below shed, and the
+		// oracle then also proves shedding leaves no log trace.
 		QueueDepth: c.QueueDepth,
-		MaxBatch:   c.MaxBatch,
 	}
 	sh, err := serve.NewShard(shcfg)
 	if err != nil {

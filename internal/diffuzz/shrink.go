@@ -182,13 +182,6 @@ var knobPasses = []func(*Case) bool{
 		return true
 	},
 	func(c *Case) bool {
-		if c.Cfg.LoadPhases == nil {
-			return false
-		}
-		c.Cfg.LoadPhases = nil
-		return true
-	},
-	func(c *Case) bool {
 		if c.Script.Workload == (script.Workload{}) {
 			return false
 		}
@@ -206,10 +199,10 @@ var knobPasses = []func(*Case) bool{
 		return true
 	},
 	func(c *Case) bool {
-		if c.QueueDepth == 0 && c.MaxBatch == 0 {
+		if c.QueueDepth == 0 {
 			return false
 		}
-		c.QueueDepth, c.MaxBatch = 0, 0
+		c.QueueDepth = 0
 		return true
 	},
 }

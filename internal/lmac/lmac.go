@@ -375,20 +375,6 @@ func (m *MAC) OnNeighborDead(fn func(at, dead topology.NodeID)) { m.onDead = fn 
 // is heard for the first time.
 func (m *MAC) OnNeighborNew(fn func(at, fresh topology.NodeID)) { m.onNew = fn }
 
-// Neighbors returns the sorted live-neighbor view of a node's MAC table.
-func (m *MAC) Neighbors(id topology.NodeID) []topology.NodeID {
-	m.materialize()
-	off := m.adjOff[id]
-	row := m.adjFlat[off:m.adjOff[id+1]]
-	out := make([]topology.NodeID, 0, len(row))
-	for k, nb := range row { // row is sorted, so out is too
-		if m.lastHeard[int(off)+k] != unheard {
-			out = append(out, nb)
-		}
-	}
-	return out
-}
-
 // Unicast queues a data message for transmission to a radio neighbor in the
 // sender's next slot.
 func (m *MAC) Unicast(from, to topology.NodeID, class radio.Class, msg any) {

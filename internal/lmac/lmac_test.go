@@ -231,7 +231,7 @@ func TestJoinFiresOnNeighborNew(t *testing.T) {
 		t.Fatalf("new-neighbor events %v, want [2] at node 1", fresh)
 	}
 	// Node 2's MAC neighbor table should see node 1.
-	nbs := m.Neighbors(2)
+	nbs := m.neighbors(2)
 	if len(nbs) != 1 || nbs[0] != 1 {
 		t.Fatalf("joined node neighbors = %v, want [1]", nbs)
 	}
@@ -270,7 +270,7 @@ func TestNeighborsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, m := newTestNet(t, g)
-	nbs := m.Neighbors(4) // grid centre
+	nbs := m.neighbors(4) // grid centre
 	for i := 1; i < len(nbs); i++ {
 		if nbs[i-1] >= nbs[i] {
 			t.Fatalf("neighbors not sorted: %v", nbs)
@@ -431,4 +431,18 @@ func verifySlots(g *topology.Graph, slots []int) error {
 		}
 	}
 	return nil
+}
+
+// neighbors returns the sorted live-neighbor view of a node's MAC table.
+func (m *MAC) neighbors(id topology.NodeID) []topology.NodeID {
+	m.materialize()
+	off := m.adjOff[id]
+	row := m.adjFlat[off:m.adjOff[id+1]]
+	out := make([]topology.NodeID, 0, len(row))
+	for k, nb := range row { // row is sorted, so out is too
+		if m.lastHeard[int(off)+k] != unheard {
+			out = append(out, nb)
+		}
+	}
+	return out
 }

@@ -121,9 +121,6 @@ func NewSeries(width int64) *Series {
 	return &Series{width: width}
 }
 
-// Width returns the bucket width.
-func (s *Series) Width() int64 { return s.width }
-
 func (s *Series) grow(b int) {
 	for len(s.sums) <= b {
 		s.sums = append(s.sums, 0)

@@ -137,11 +137,6 @@ func NewGate(cfg Config) (*Gate, error) {
 // Stats returns the cumulative sampling counters.
 func (g *Gate) Stats() Stats { return g.stats }
 
-// Predictor exposes one node's predictor (nil if it never sampled).
-func (g *Gate) Predictor(id topology.NodeID, t sensordata.Type) *Predictor {
-	return g.preds[gateKey{id, t}]
-}
-
 // ShouldSample implements core.SampleGate. It returns false — skip the
 // physical acquisition — only when the forecast, widened by the safety
 // margin, cannot escape the node's current hysteresis tuple.

@@ -155,14 +155,14 @@ func TestGatePerNodePredictorsIndependent(t *testing.T) {
 	}
 	g.OnSample(1, sensordata.Temperature, 10)
 	g.OnSample(2, sensordata.Temperature, 90)
-	p1 := g.Predictor(1, sensordata.Temperature)
-	p2 := g.Predictor(2, sensordata.Temperature)
+	p1 := g.preds[gateKey{1, sensordata.Temperature}]
+	p2 := g.preds[gateKey{2, sensordata.Temperature}]
 	v1, _ := p1.Predict()
 	v2, _ := p2.Predict()
 	if v1 == v2 {
 		t.Fatal("predictors shared across nodes")
 	}
-	if g.Predictor(9, sensordata.Temperature) != nil {
+	if g.preds[gateKey{9, sensordata.Temperature}] != nil {
 		t.Fatal("phantom predictor")
 	}
 }

@@ -8,18 +8,20 @@ import (
 // gatedVsNaive runs the same configuration with activity gating on and
 // off and requires byte-identical Results. The gate skips work only when
 // the skipped work is provably unobservable, so any divergence — however
-// small — is a bug in the quiescence proof, not tolerable noise.
-func gatedVsNaive(t *testing.T, cfg Config) {
+// small — is a bug in the quiescence proof, not tolerable noise. It
+// returns each run's field evaluation total (Gen.Evals).
+func gatedVsNaive(t *testing.T, cfg Config) (gatedEvals, naiveEvals uint64) {
 	t.Helper()
-	gated, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cfg Config) (*Result, uint64) {
+		r, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Run(), r.Gen.Evals()
 	}
+	gated, gatedEvals := run(cfg)
 	cfg.DisableActivityGating = true
-	naive, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive, naiveEvals := run(cfg)
 	// The knob itself is part of Config (inside Result); blank it so the
 	// comparison covers everything else.
 	naive.Config.DisableActivityGating = false
@@ -34,11 +36,15 @@ func gatedVsNaive(t *testing.T, cfg Config) {
 	if string(g) != string(n) {
 		t.Fatalf("gated run diverged from naive run\ngated: %.300s\nnaive: %.300s", g, n)
 	}
+	return gatedEvals, naiveEvals
 }
 
 // TestGatedNaiveEquivalencePaperScale pins gated == naive at the paper's
 // 50-node scale for every threshold mode, including the flooding baseline
-// and a node-death (energy) run.
+// and a node-death (energy) run. Under ATC every node takes the exact
+// ungated path, so the gated loop's batched evaluation must also read
+// every mounted pair every epoch, exactly as often as the naive loop's
+// lazy reads do.
 func TestGatedNaiveEquivalencePaperScale(t *testing.T) {
 	base := Default()
 	base.Epochs = 1200
@@ -58,7 +64,10 @@ func TestGatedNaiveEquivalencePaperScale(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mut(&cfg)
-			gatedVsNaive(t, cfg)
+			gated, naive := gatedVsNaive(t, cfg)
+			if cfg.Mode == ATC && (gated != naive || gated == 0) {
+				t.Fatalf("Evals() gated %d, naive %d", gated, naive)
+			}
 		})
 	}
 }

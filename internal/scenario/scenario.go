@@ -62,16 +62,12 @@ type Config struct {
 	MaxDepth   int // the paper's d
 
 	// Timing (§7: one reading per epoch for 20 000 epochs, a query every
-	// 20 epochs).
+	// 20 epochs). Epochs is the horizon: a run executes epochs 0 through
+	// Epochs, one more than Epochs, so dirq_epochs_total reads 11 after a
+	// run with Epochs = 10 (see Runner.Step).
 	Epochs        int64
 	QueryInterval int64
 	EpochsPerHour int
-
-	// LoadPhases optionally varies the query injection rate over the run —
-	// the "extrinsic" dynamism of §1. Each phase applies its interval until
-	// its end epoch; after the last phase QueryInterval applies again.
-	// Phases must be ordered by Until and have positive intervals.
-	LoadPhases []LoadPhase
 
 	// Workload: target fraction of nodes involved per query (0.2/0.4/0.6).
 	Coverage float64
@@ -168,24 +164,6 @@ type Dynamics interface {
 	Drive(r *Runner)
 }
 
-// LoadPhase is one segment of a time-varying query workload.
-type LoadPhase struct {
-	// Until is the exclusive end epoch of the phase.
-	Until int64
-	// Interval is the epochs between query injections during the phase.
-	Interval int64
-}
-
-// intervalAt returns the injection interval in force at the given epoch.
-func (c Config) intervalAt(epoch int64) int64 {
-	for _, ph := range c.LoadPhases {
-		if epoch < ph.Until {
-			return ph.Interval
-		}
-	}
-	return c.QueryInterval
-}
-
 // ScaleDefault returns the paper's configuration stretched to nodes-sized
 // deployments at constant node density: the area grows linearly with the
 // node count (side ∝ √N, keeping the paper's ~25-unit radio range
@@ -257,16 +235,6 @@ func (c Config) Validate() error {
 	}
 	if c.Script != nil && !c.DisableWorkload {
 		return fmt.Errorf("scenario: Script drives the query workload itself; set DisableWorkload (script.Run does)")
-	}
-	prev := int64(0)
-	for i, ph := range c.LoadPhases {
-		if ph.Interval < 1 {
-			return fmt.Errorf("scenario: load phase %d interval %d < 1", i, ph.Interval)
-		}
-		if ph.Until <= prev {
-			return fmt.Errorf("scenario: load phase %d end %d not increasing", i, ph.Until)
-		}
-		prev = ph.Until
 	}
 	return nil
 }
@@ -631,7 +599,7 @@ func (r *Runner) Start() {
 			now := r.Engine.Now()
 			q, truth := r.workload.Next(r.Gen, r.Tree, r.Mounted)
 			r.Inject(q, truth)
-			next := now + sim.Time(cfg.intervalAt(int64(now)))
+			next := now + sim.Time(cfg.QueryInterval)
 			if int64(next) < cfg.Epochs {
 				r.Engine.SchedulePrio(next, lmac.PrioApp+1, inject)
 			}
@@ -706,6 +674,11 @@ func (r *Runner) Start() {
 // configured horizon (Cfg.Epochs). It returns the number of epochs
 // actually advanced — 0 once the horizon is reached. Start must have
 // been called.
+//
+// Advancing the clock from now to now+n executes epochs now+1 through
+// now+n, and the first Step after Start also executes epoch 0. So that
+// Step executes one epoch more than it returns: after Start, Step(1)
+// returns 1 while dirq_epochs_total reads 2.
 func (r *Runner) Step(n int64) int64 {
 	if !r.started {
 		panic("scenario: Runner.Step before Start")
@@ -746,10 +719,11 @@ func (r *Runner) SetWorkloadCoverage(target float64) error {
 	return r.workload.SetTarget(target)
 }
 
-// Run executes the configured number of epochs and produces the Result.
+// Run executes the simulation to its horizon and produces the Result.
 // Without a Config.Script it is equivalent to Start, Step to the horizon,
 // Snapshot; with one, the script's driver owns the stepping (and the
-// query workload) between Start and Snapshot.
+// query workload) between Start and Snapshot. Either way it executes
+// epochs 0 through Cfg.Epochs, one more than Cfg.Epochs (see Step).
 func (r *Runner) Run() *Result {
 	r.Start()
 	if r.Cfg.Script != nil {

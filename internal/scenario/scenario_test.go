@@ -310,74 +310,6 @@ func TestPredictiveSamplingOffByDefault(t *testing.T) {
 	}
 }
 
-func TestLoadPhasesValidation(t *testing.T) {
-	cfg := small()
-	cfg.LoadPhases = []LoadPhase{{Until: 100, Interval: 0}}
-	if cfg.Validate() == nil {
-		t.Fatal("zero-interval phase accepted")
-	}
-	cfg.LoadPhases = []LoadPhase{{Until: 100, Interval: 5}, {Until: 50, Interval: 5}}
-	if cfg.Validate() == nil {
-		t.Fatal("non-increasing phase ends accepted")
-	}
-	cfg.LoadPhases = []LoadPhase{{Until: 100, Interval: 5}, {Until: 300, Interval: 40}}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid phases rejected: %v", err)
-	}
-}
-
-func TestTimeVaryingLoadTrackedByPredictor(t *testing.T) {
-	cfg := small()
-	cfg.Epochs = 2400
-	// Hour = 100 epochs. Phase 1 (until 1200): a query every 5 epochs
-	// (20/hour). Phase 2: every 50 epochs (2/hour).
-	cfg.LoadPhases = []LoadPhase{{Until: 1200, Interval: 5}}
-	cfg.QueryInterval = 50
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EHrSeries) < 20 {
-		t.Fatalf("only %d estimates emitted", len(res.EHrSeries))
-	}
-	// Forecast during the busy phase must exceed the late quiet phase.
-	busy := res.EHrSeries[10] // after 1000 epochs of 20/hour
-	quiet := res.EHrSeries[len(res.EHrSeries)-1]
-	if busy <= quiet {
-		t.Fatalf("EHr did not track load change: busy=%d quiet=%d (series %v)",
-			busy, quiet, res.EHrSeries)
-	}
-	if busy < 12 {
-		t.Fatalf("busy-phase forecast %d, want near 20", busy)
-	}
-	if quiet > 8 {
-		t.Fatalf("quiet-phase forecast %d, want near 2", quiet)
-	}
-}
-
-func TestTimeVaryingLoadATCDeltaReacts(t *testing.T) {
-	// With ATC, higher query load means a bigger update budget and thus a
-	// smaller delta during the busy phase.
-	cfg := small()
-	cfg.Mode = ATC
-	cfg.Epochs = 3000
-	cfg.LoadPhases = []LoadPhase{{Until: 1500, Interval: 5}}
-	cfg.QueryInterval = 100
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buckets := res.DeltaPctPerBucket
-	if len(buckets) < 28 {
-		t.Fatalf("only %d delta buckets", len(buckets))
-	}
-	busyDelta := buckets[13]              // end of busy phase
-	quietDelta := buckets[len(buckets)-1] // settled quiet phase
-	if busyDelta >= quietDelta {
-		t.Fatalf("delta did not widen when load dropped: busy=%v quiet=%v", busyDelta, quietDelta)
-	}
-}
-
 func TestFloodingModeCostsApproxBaseline(t *testing.T) {
 	cfg := small()
 	cfg.DisseminateByFlooding = true

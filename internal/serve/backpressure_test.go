@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/sensordata"
 )
 
 // TestSubmitShedsWhenQueueFull: a full admission queue sheds new
@@ -42,10 +40,10 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	}
 	// The shard is not serving yet, so both submissions stay queued.
 	deadline := time.Now().Add(5 * time.Second)
-	for sh.Backlog() < 2 && time.Now().Before(deadline) {
+	for len(sh.admit) < 2 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if got := sh.Backlog(); got != 2 {
+	if got := len(sh.admit); got != 2 {
 		t.Fatalf("backlog = %d, want 2", got)
 	}
 
@@ -96,14 +94,13 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-// TestShedMidChaosReplay: with a depth-2 queue, a single-query drain cap
-// and waves of concurrent clients racing a chaos timeline, some queries
-// shed and some answer — and the answered ones still replay
-// byte-identically, because shed queries never enter the admission log.
+// TestShedMidChaosReplay: with a depth-2 queue and waves of concurrent
+// clients racing a chaos timeline, some queries shed and some answer —
+// and the answered ones still replay byte-identically, because shed
+// queries never enter the admission log.
 func TestShedMidChaosReplay(t *testing.T) {
 	cfg := chaosShardConfig("bpchaos", 11)
 	cfg.QueueDepth = 2
-	cfg.MaxBatch = 1
 	// Long step and settle windows make each scheduler pass tens of
 	// milliseconds of real simulation work, so a wave of concurrent
 	// clients genuinely races a busy scheduler instead of being served
@@ -219,10 +216,10 @@ func TestOverloadedWireFormat(t *testing.T) {
 	}()
 	sh, _ := m.Shard("wire")
 	deadline := time.Now().Add(5 * time.Second)
-	for sh.Backlog() == 0 && time.Now().Before(deadline) {
+	for len(sh.admit) == 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if sh.Backlog() != 1 {
+	if len(sh.admit) != 1 {
 		t.Fatal("queue slot never filled")
 	}
 
@@ -253,72 +250,5 @@ func TestOverloadedWireFormat(t *testing.T) {
 	}
 	if se.Code != http.StatusTooManyRequests || se.RetryAfter != time.Second {
 		t.Errorf("StatusError = %+v, want code 429 with 1s Retry-After", se)
-	}
-}
-
-// TestLeastLoadedRouting: pick honors the live backlog gauge — the
-// emptiest shard wins, ties break toward configuration order, and the
-// default stays round-robin.
-func TestLeastLoadedRouting(t *testing.T) {
-	m, err := NewManager([]ShardConfig{testShardConfig("a", 1), testShardConfig("b", 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.RoutingPolicy(); got != RouteRoundRobin {
-		t.Fatalf("default routing = %v, want round-robin", got)
-	}
-	if first, second := m.pick(), m.pick(); first.ID() == second.ID() {
-		t.Errorf("round-robin picked %s twice in a row", first.ID())
-	}
-
-	// Pile blocked submissions onto shard a only (the manager is never
-	// started, so backlogs hold still while pick reads them).
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fill := func(id string, n int) {
-		sh, _ := m.Shard(id)
-		for i := 0; i < n; i++ {
-			go sh.Submit(ctx, Request{Type: sensordata.Temperature, Lo: 0, Hi: 50}) //nolint:errcheck // released via cancel
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for sh.Backlog() < n && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		if got := sh.Backlog(); got < n {
-			t.Fatalf("shard %s backlog = %d, want %d", id, got, n)
-		}
-	}
-	fill("a", 3)
-	m.SetRouting(RouteLeastLoaded)
-	if got := m.RoutingPolicy(); got != RouteLeastLoaded {
-		t.Fatalf("routing after SetRouting = %v", got)
-	}
-	for i := 0; i < 4; i++ {
-		if got := m.pick(); got.ID() != "b" {
-			t.Fatalf("least-loaded picked %s with backlogs a=3 b=0", got.ID())
-		}
-	}
-	fill("b", 3)
-	if got := m.pick(); got.ID() != "a" {
-		t.Fatalf("tie broke to %s, want configuration order (a)", got.ID())
-	}
-}
-
-// TestParseRouting covers the flag-facing name resolution.
-func TestParseRouting(t *testing.T) {
-	for name, want := range map[string]Routing{
-		"round-robin":  RouteRoundRobin,
-		"least-loaded": RouteLeastLoaded,
-	} {
-		got, err := ParseRouting(name)
-		if err != nil || got != want {
-			t.Errorf("ParseRouting(%q) = %v, %v", name, got, err)
-		}
-		if got.String() != name {
-			t.Errorf("Routing(%v).String() = %q, want %q", got, got.String(), name)
-		}
-	}
-	if _, err := ParseRouting("random"); err == nil {
-		t.Error("ParseRouting accepted an unknown policy")
 	}
 }

@@ -100,15 +100,6 @@ func (c *Client) Metrics(ctx context.Context) ([]telemetry.SeriesSnapshot, error
 	return doc.Metrics, nil
 }
 
-// Shards lists the hosted shards.
-func (c *Client) Shards(ctx context.Context) ([]ShardInfo, error) {
-	var infos []ShardInfo
-	if err := c.do(ctx, http.MethodGet, "/shards", nil, &infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
-}
-
 // do executes one HTTP request and decodes the JSON reply, surfacing
 // non-2xx statuses as *StatusError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {

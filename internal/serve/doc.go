@@ -3,12 +3,14 @@
 // read 10–25 °C right now?" — served online instead of from a canned
 // batch workload.
 //
-// A Manager hosts one or more Shards. Each Shard owns a live simulated
-// sensor network (one scenario config + seed), advances it continuously
-// on its own goroutine, and admits external range queries at epoch
-// boundaries through a batching admission queue: all client queries that
-// arrived since the previous simulation pass are injected together, in
-// arrival order, at the same epoch. Every admitted query is answered
+// A Manager hosts one or more Shards and hands each query to the shard it
+// names, or round-robin when it names none. Each Shard owns a live
+// simulated sensor network (one scenario config + seed), advances it
+// continuously on its own goroutine, and admits external range queries at
+// epoch boundaries through a bounded batching admission queue: the client
+// queries that arrived since the previous simulation pass are injected
+// together, in arrival order, at the same epoch, and a full queue sheds
+// new ones with ErrOverloaded. Every admitted query is answered
 // after a fixed settle window (enough epochs for directed dissemination
 // to run its course down the tree) with the matched node set, accuracy
 // against the ground truth captured at admission, and message cost

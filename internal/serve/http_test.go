@@ -29,8 +29,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	infos, err := c.Shards(ctx)
-	if err != nil || len(infos) != 2 {
+	var infos []ShardInfo
+	if err := c.do(ctx, http.MethodGet, "/shards", nil, &infos); err != nil || len(infos) != 2 {
 		t.Fatalf("shards: %v, %v", infos, err)
 	}
 

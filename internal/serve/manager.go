@@ -13,50 +13,14 @@ import (
 // ErrNoSuchShard is returned for requests naming an unknown shard.
 var ErrNoSuchShard = errors.New("serve: no such shard")
 
-// Routing selects how the manager places queries that do not pin a
-// shard by name.
-type Routing int32
-
-const (
-	// RouteRoundRobin cycles through the shards in configuration order —
-	// the default, and the right choice when shards are interchangeable
-	// and evenly loaded.
-	RouteRoundRobin Routing = iota
-	// RouteLeastLoaded sends each query to the shard with the smallest
-	// live admission backlog (ties break toward configuration order).
-	// Under uneven load this sheds less: a clogged shard stops receiving
-	// new queries while its siblings still have queue room.
-	RouteLeastLoaded
-)
-
-// String names the policy the way ParseRouting accepts it.
-func (r Routing) String() string {
-	if r == RouteLeastLoaded {
-		return "least-loaded"
-	}
-	return "round-robin"
-}
-
-// ParseRouting resolves a policy name ("round-robin", "least-loaded").
-func ParseRouting(s string) (Routing, error) {
-	switch s {
-	case "round-robin":
-		return RouteRoundRobin, nil
-	case "least-loaded":
-		return RouteLeastLoaded, nil
-	}
-	return 0, fmt.Errorf("serve: unknown routing policy %q (want round-robin or least-loaded)", s)
-}
-
 // Manager hosts a set of shards and routes queries to them: a named
-// shard when the request pins one, by the configured Routing otherwise.
+// shard when the request pins one, round-robin otherwise.
 type Manager struct {
 	shards []*Shard
 	byID   map[string]*Shard
 	reg    *telemetry.Registry
 
 	rr      atomic.Uint64
-	routing atomic.Int32
 	started atomic.Bool
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -141,31 +105,8 @@ func (m *Manager) Shards() []*Shard {
 	return append([]*Shard(nil), m.shards...)
 }
 
-// SetRouting selects the placement policy for un-pinned queries. Safe
-// to call at any time, including while serving.
-func (m *Manager) SetRouting(r Routing) { m.routing.Store(int32(r)) }
-
-// RoutingPolicy reports the current placement policy.
-func (m *Manager) RoutingPolicy() Routing { return Routing(m.routing.Load()) }
-
-// pick chooses the shard for an un-pinned query under the current
-// routing policy.
-func (m *Manager) pick() *Shard {
-	if m.RoutingPolicy() == RouteLeastLoaded {
-		best := m.shards[0]
-		bestLoad := best.Backlog()
-		for _, sh := range m.shards[1:] {
-			if l := sh.Backlog(); l < bestLoad {
-				best, bestLoad = sh, l
-			}
-		}
-		return best
-	}
-	return m.shards[m.rr.Add(1)%uint64(len(m.shards))]
-}
-
-// Query routes one request: to the named shard if req.Shard is set, by
-// the configured Routing otherwise. It blocks until the query is
+// Query routes one request: to the named shard if req.Shard is set,
+// otherwise to the next shard in configuration order, round-robin. It blocks until the query is
 // answered, ctx is canceled, or the target shard shuts down; if the
 // target's admission queue is full it fails fast with ErrOverloaded.
 func (m *Manager) Query(ctx context.Context, req Request) (*Response, error) {
@@ -176,7 +117,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Response, error) {
 			return nil, fmt.Errorf("%w: %q", ErrNoSuchShard, req.Shard)
 		}
 	} else {
-		sh = m.pick()
+		sh = m.shards[m.rr.Add(1)%uint64(len(m.shards))]
 	}
 	return sh.Submit(ctx, req)
 }

@@ -57,11 +57,6 @@ type ShardConfig struct {
 	// QueueDepth bounds the admission queue (default 256). Submit sheds
 	// with ErrOverloaded — it does not block — once the queue is full.
 	QueueDepth int
-	// MaxBatch caps how many queued queries one scheduler pass admits
-	// (default QueueDepth, i.e. drain everything). A smaller cap spreads a
-	// full queue's admissions over several passes, smoothing the settle-
-	// window latency spikes a single unbounded drain causes.
-	MaxBatch int
 	// Chaos optionally schedules scenario-dynamics events (node kills and
 	// cascades, sensor regime shifts and drift, threshold retuning) that
 	// fire at their exact epochs while the shard serves live queries.
@@ -94,9 +89,6 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.MaxBatch <= 0 || c.MaxBatch > c.QueueDepth {
-		c.MaxBatch = c.QueueDepth
 	}
 	return c
 }
@@ -248,11 +240,6 @@ func (s *Shard) Config() ShardConfig { return s.cfg }
 // ChaosApplied/ChaosPending in Stats refer to.
 func (s *Shard) ChaosEvents() int { return len(s.chaos) }
 
-// Backlog reports the live admission-queue occupancy — the load signal
-// least-loaded routing reads. It is an instantaneous channel length, so
-// concurrent submitters may observe it stale by a few entries.
-func (s *Shard) Backlog() int { return len(s.admit) }
-
 // QueriesShed reports how many queries this shard refused with
 // ErrOverloaded since it was built.
 func (s *Shard) QueriesShed() int64 { return s.shed.Load() }
@@ -332,14 +319,13 @@ func (s *Shard) run(ctx context.Context) {
 		default:
 		}
 
-		// Drain queued queries in arrival order, at most MaxBatch per
-		// pass: the remainder stays queued (visible in Backlog and the
-		// queue-depth gauge) and is admitted on later passes, so a burst
-		// spreads across epoch boundaries instead of landing on one.
+		// Drain queued queries in arrival order, at most QueueDepth per
+		// pass, so clients that keep submitting while the drain runs
+		// cannot hold the scheduler in it.
 		batch := carry
 		carry = nil
 	drain:
-		for len(batch) < s.cfg.MaxBatch {
+		for len(batch) < s.cfg.QueueDepth {
 			select {
 			case pq := <-s.admit:
 				batch = append(batch, pq)

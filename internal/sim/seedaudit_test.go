@@ -6,13 +6,13 @@ import (
 	"go/build"
 	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -126,127 +126,178 @@ func importName(f *ast.File, path string) string {
 }
 
 // testOnlyExportAllowlist names the exported functions and methods under
-// internal/ that no non-test code in the module calls but that stay, each
+// internal/ that no non-test code in the module uses but that stay, each
 // with the reason. Keys are pkg.Name or pkg.Recv.Name.
 var testOnlyExportAllowlist = map[string]string{
 	"analytic.CostFloodTree":                  "paper equation: the flood-tree cost, eq. (3)",
+	"core.Node.Children":                      "facade-reachable: dirq.Runner.Proto.Node",
+	"core.Node.ID":                            "facade-reachable: dirq.Runner.Proto.Node",
+	"core.Node.Parent":                        "facade-reachable: dirq.Runner.Proto.Node",
 	"core.Node.UpdatesSent":                   "facade-reachable: dirq.Runner.Proto.Node",
 	"core.Protocol.EstimateSeq":               "facade-reachable: dirq.Runner.Proto",
 	"core.Protocol.JoinNode":                  "facade-reachable: dirq.Runner.Proto; the paper's §4.2 node addition",
+	"core.Protocol.Predictor":                 "facade-reachable: dirq.Runner.Proto",
 	"core.Protocol.Records":                   "facade-reachable: dirq.Runner.Proto",
+	"core.Protocol.Tree":                      "facade-reachable: dirq.Runner.Proto",
 	"core.RangeTable.ClearOwn":                "facade-reachable: dirq.Runner.Proto.Node(id).Table",
 	"core.RangeTable.LastSent":                "facade-reachable: dirq.Runner.Proto.Node(id).Table",
 	"experiments.Fig6Result.SteadyStateMeans": "fixture: Fig. 6 readings shared by the experiments and root benchmark tests",
+	"lmac.MAC.Broadcast":                      "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.Frame":                          "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.OnNeighborNew":                  "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.QueueLen":                       "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.SetDeadThreshold":               "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.Slot":                           "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.Slots":                          "facade-reachable: dirq.Runner.MAC",
+	"radio.Meter.Reset":                       "facade-reachable: dirq.Runner.Meter",
+	"radio.Meter.Snapshot":                    "facade-reachable: dirq.Runner.Meter",
+	"radio.Meter.Total":                       "facade-reachable: dirq.Runner.Meter",
 	"sampling.Stats.SkipFraction":             "facade-reachable: dirq.Result.Sampling",
+	"sensordata.Generator.Epoch":              "facade-reachable: dirq.Runner.Gen",
+	"sensordata.Generator.Evals":              "facade-reachable: dirq.Runner.Gen",
+	"sensordata.Generator.Params":             "facade-reachable: dirq.Runner.Gen",
 	"sensordata.Generator.SetParams":          "facade-reachable: dirq.Runner.Gen",
 	"sensordata.TypeSet.Without":              "facade-reachable: dirq.Runner.Mounted",
 	"sim.Engine.Cancel":                       "facade-reachable: dirq.Runner.Engine",
 	"sim.Engine.Pending":                      "facade-reachable: dirq.Runner.Engine",
+	"sim.Engine.Reset":                        "facade-reachable: dirq.Runner.Engine",
+	"sim.Engine.Run":                          "facade-reachable: dirq.Runner.Engine",
 	"sim.Engine.Schedule":                     "facade-reachable: dirq.Runner.Engine",
 	"sim.Engine.ScheduleIn":                   "facade-reachable: dirq.Runner.Engine",
 	"sim.Engine.Steps":                        "facade-reachable: dirq.Runner.Engine",
+	"sim.Engine.Stop":                         "facade-reachable: dirq.Runner.Engine",
 	"sim.Engine.Stopped":                      "facade-reachable: dirq.Runner.Engine",
 	"topology.DefaultPlacement":               "fixture: test networks in several packages",
+	"topology.Graph.Clone":                    "facade-reachable: dirq.Runner.Graph",
 	"topology.Graph.RemoveNodeEdges":          "facade-reachable: dirq.Runner.Graph",
 	"topology.PlaceGrid":                      "fixture: test networks in several packages",
 	"topology.PlaceLine":                      "fixture: test networks in several packages",
 	"topology.Rect.Valid":                     "facade-reachable: dirq.Runner.Proto.InjectGeoQuery's rect",
 	"topology.Tree.Leaves":                    "facade-reachable: dirq.Runner.Tree",
+	"topology.Tree.Validate":                  "facade-reachable: dirq.Runner.Tree",
+	"trace.Recorder.Count":                    "facade-reachable: dirq.Runner.Trace",
 	"trace.Recorder.Filter":                   "facade-reachable: dirq.Runner.Trace",
 }
 
 // TestNoTestOnlyExports guards against exported internal API that only
 // tests call. internal/ cannot be imported from outside the module, so an
-// exported function there whose name appears nowhere in non-test code but
-// at its own declaration is dead weight. The check counts identifiers
-// lexically across every non-test file in the module, bench/ included; a
-// name shared with anything else counts as a use, so it errs towards
-// passing. Interface methods pass when the interface is declared in the
-// module; whatever else must stay goes in testOnlyExportAllowlist.
+// exported function or method there that no non-test code in the module
+// uses is dead weight. It reads the type-checked module (cmd/, examples/,
+// the root package and bench/ included), so a use is a reference to that
+// very function or method, not to another of the same name. A method also
+// counts as used when its type implements an interface, declared in the
+// module or in a package it imports, that has a method of that name: the
+// call may go through the interface (String for fmt, Drive for
+// scenario.Dynamics). Whatever else must stay goes in
+// testOnlyExportAllowlist; a stale entry fails too.
 func TestNoTestOnlyExports(t *testing.T) {
-	root := moduleRoot(t)
-	uses := map[string]int{}
-	type decl struct{ key, pos string }
-	var decls []decl
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var s scanner.Scanner
-		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
-		for {
-			_, tok, lit := s.Scan()
-			if tok == token.EOF {
-				break
-			}
-			if tok == token.IDENT {
-				uses[lit]++
+	mod := loadModule(t)
+	used := map[*types.Func]bool{}
+	for _, p := range mod.pkgs {
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
 			}
 		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(rel, "internal"+string(filepath.Separator)) {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "." + fn.Name.Name
-			if fn.Recv != nil {
-				key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			decls = append(decls, decl{key, fmt.Sprintf("%s:%d", rel, fset.Position(fn.Pos()).Line)})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	// byMethod indexes every interface in sight by its method names.
+	byMethod := map[string][]*types.Interface{}
+	addIface := func(typ types.Type) {
+		iface, ok := typ.Underlying().(*types.Interface)
+		if !ok || !iface.IsMethodSet() {
+			return
+		}
+		if named, ok := typ.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return
+		}
+		for i := range iface.NumMethods() {
+			name := iface.Method(i).Name()
+			byMethod[name] = append(byMethod[name], iface)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(pkg *types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, p := range mod.pkgs {
+		walk(p.pkg)
+		for _, tv := range p.info.Types {
+			if _, named := tv.Type.(*types.Named); !named {
+				addIface(tv.Type)
+			}
+		}
+	}
+	viaInterface := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv()
+		if recv == nil {
+			return false
+		}
+		base := recv.Type()
+		if ptr, ok := base.(*types.Pointer); ok {
+			base = ptr.Elem()
+		}
+		if named, ok := base.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, iface := range byMethod[fn.Name()] {
+			if types.Implements(base, iface) || types.Implements(types.NewPointer(base), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
 	flagged := map[string]bool{}
-	for _, d := range decls {
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		if uses[name] > 1 {
+	for _, p := range mod.pkgs {
+		if !p.internal {
 			continue
 		}
-		flagged[d.key] = true
-		if _, ok := testOnlyExportAllowlist[d.key]; !ok {
-			t.Errorf("%s: %s is exported but no non-test code uses it; delete it with its tests, move it into a _test.go file, or allowlist it with a reason",
-				d.pos, d.key)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				if used[fn] || viaInterface(fn) {
+					continue
+				}
+				key := funcKey(f, fd)
+				flagged[key] = true
+				if _, ok := testOnlyExportAllowlist[key]; !ok {
+					t.Errorf("%s: %s is exported but no non-test code uses it; delete it with its tests, move it into a _test.go file, or allowlist it with a reason",
+						mod.pos(fd.Pos()), key)
+				}
+			}
 		}
 	}
-	for key := range testOnlyExportAllowlist {
+	for _, key := range sortedKeys(testOnlyExportAllowlist) {
 		if !flagged[key] {
 			t.Errorf("allowlist entry %s names no test-only export; remove the entry", key)
 		}
 	}
+}
+
+// funcKey names a function declaration pkg.Func, or pkg.Recv.Func for a
+// method, as the allowlists do.
+func funcKey(f *ast.File, fd *ast.FuncDecl) string {
+	if fd.Recv != nil {
+		return f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+	}
+	return f.Name.Name + "." + fd.Name.Name
 }
 
 // recvName returns the type name of a method receiver expression.
@@ -267,6 +318,17 @@ func recvName(x ast.Expr) string {
 	}
 }
 
+// sortedKeys returns an allowlist's keys in order, so failures list
+// stably.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // mapRangeAllowlist names the functions under internal/ whose non-test code
 // walks a map with range (Go randomises the order), each with the reason
 // the walk cannot reach an output in map order. Keys are pkg.Func or
@@ -280,119 +342,43 @@ var mapRangeAllowlist = map[string]string{
 
 // TestNoUnorderedMapWalks guards against output that depends on Go's map
 // iteration order, which differs from run to run (RangeTable.Aggregate
-// once did). It type-checks every non-test package under internal/ and
-// fails on a range over a map, or over an iterator of package maps, in a
-// function that mapRangeAllowlist does not name. A stale entry fails too.
+// once did). It reads every type-checked non-test package under internal/
+// and fails on a range over a map, or over an iterator of package maps, in
+// a function that mapRangeAllowlist does not name. A stale entry fails too.
 func TestNoUnorderedMapWalks(t *testing.T) {
-	root := moduleRoot(t)
-	// The source importer reads build.Default. Without cgo it type-checks
-	// the pure-Go variants of net and os/user, which needs no C toolchain
-	// for the target.
-	defer func(on bool) { build.Default.CgoEnabled = on }(build.Default.CgoEnabled)
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
-	checked := map[string]*types.Package{}
+	mod := loadModule(t)
 	found := map[string]bool{}
-	// check type-checks the module package at path, after the module
-	// packages it imports, and scans its range statements.
-	var check func(path string) (*types.Package, error)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if strings.HasPrefix(path, "repro/") {
-			return check(path)
+	for _, p := range mod.pkgs {
+		if !p.internal {
+			continue
 		}
-		return std.Import(path)
-	})
-	check = func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(path, "repro/")))
-		bp, err := build.ImportDir(dir, 0)
-		if err != nil {
-			return nil, err
-		}
-		var files []*ast.File
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
-		if err != nil {
-			return nil, err
-		}
-		checked[path] = pkg
-		if !strings.HasPrefix(path, "repro/internal/") {
-			return pkg, nil
-		}
-		for _, f := range files {
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				key := f.Name.Name + ".init"
-				if fn, ok := decl.(*ast.FuncDecl); ok {
-					key = f.Name.Name + "." + fn.Name.Name
-					if fn.Recv != nil {
-						key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-					}
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					key = funcKey(f, fd)
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					rs, ok := n.(*ast.RangeStmt)
-					if !ok || !unorderedRange(info, rs.X) {
+					if !ok || !unorderedRange(p.info, rs.X) {
 						return true
 					}
 					found[key] = true
 					if _, ok := mapRangeAllowlist[key]; !ok {
-						pos := fset.Position(rs.Pos())
-						rel, _ := filepath.Rel(root, pos.Filename)
-						t.Errorf("%s:%d: %s ranges over a map, whose order Go randomises; iterate in a fixed order, or allowlist %s with the reason the order cannot reach an output",
-							rel, pos.Line, key, key)
+						t.Errorf("%s: %s ranges over a map, whose order Go randomises; iterate in a fixed order, or allowlist %s with the reason the order cannot reach an output",
+							mod.pos(rs.Pos()), key, key)
 					}
 					return true
 				})
 			}
 		}
-		return pkg, nil
 	}
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(dir string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return err
-		}
-		if _, err := check("repro/" + filepath.ToSlash(rel)); err != nil {
-			if _, none := err.(*build.NoGoError); !none {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stale []string
-	for key := range mapRangeAllowlist {
+	for _, key := range sortedKeys(mapRangeAllowlist) {
 		if !found[key] {
-			stale = append(stale, key)
+			t.Errorf("allowlist entry %s names no function that ranges over a map; remove the entry", key)
 		}
-	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		t.Errorf("allowlist entry %s names no function that ranges over a map; remove the entry", key)
 	}
 }
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // unorderedRange reports whether x, a range expression, is a map or a call
 // of one of package maps' iterators.
@@ -413,3 +399,129 @@ func unorderedRange(info *types.Info, x ast.Expr) bool {
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps"
 }
+
+// module is the module's non-test code, type-checked: every package under
+// the root, the bench/ module included, in dependency order.
+type module struct {
+	root string
+	fset *token.FileSet
+	pkgs []*checkedPkg
+}
+
+// checkedPkg is one type-checked package of the module.
+type checkedPkg struct {
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+	// internal marks a package under internal/, the scope of the audits.
+	internal bool
+}
+
+// pos renders a position relative to the module root.
+func (m *module) pos(p token.Pos) string {
+	at := m.fset.Position(p)
+	rel, _ := filepath.Rel(m.root, at.Filename)
+	return fmt.Sprintf("%s:%d", rel, at.Line)
+}
+
+// The module is loaded once and shared by the audits that read it.
+var (
+	loadOnce   sync.Once
+	loaded     *module
+	loadFailed error
+)
+
+// loadModule returns the type-checked module, loading it on first use.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	root := moduleRoot(t)
+	loadOnce.Do(func() { loaded, loadFailed = typeCheckModule(root) })
+	if loadFailed != nil {
+		t.Fatal(loadFailed)
+	}
+	return loaded
+}
+
+// typeCheckModule type-checks every directory of Go files under root,
+// skipping testdata and hidden directories. The module is repro; bench/
+// is the module repro/bench, so both map import paths to directories the
+// same way.
+func typeCheckModule(root string) (*module, error) {
+	// The source importer reads build.Default. Without cgo it type-checks
+	// the pure-Go variants of net and os/user, which needs no C toolchain
+	// for the target.
+	defer func(on bool) { build.Default.CgoEnabled = on }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	m := &module{root: root, fset: token.NewFileSet()}
+	std := importer.ForCompiler(m.fset, "source", nil)
+	checked := map[string]*types.Package{}
+	// check type-checks the module package at path, after the module
+	// packages it imports.
+	var check func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path == "repro" || strings.HasPrefix(path, "repro/") {
+			return check(path)
+		}
+		return std.Import(path)
+	})
+	check = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, "repro"), "/")
+		dir := filepath.Join(root, filepath.FromSlash(rel))
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, m.fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		m.pkgs = append(m.pkgs, &checkedPkg{files: files, info: info, pkg: pkg,
+			internal: strings.HasPrefix(path, "repro/internal/")})
+		return pkg, nil
+	}
+	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		path := "repro"
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		if _, err := check(path); err != nil {
+			if _, none := err.(*build.NoGoError); !none {
+				return err
+			}
+		}
+		return nil
+	})
+	return m, err
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -75,13 +75,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — a
 // high-watermark (e.g. peak event-heap depth).
 func (g *Gauge) SetMax(v int64) {
@@ -149,14 +142,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of samples (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of samples (0 on nil).

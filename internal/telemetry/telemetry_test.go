@@ -20,15 +20,14 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(3)
-	g.Add(2)
 	g.SetMax(9)
 	if got := g.Value(); got != 0 {
 		t.Errorf("nil gauge Value() = %d, want 0", got)
 	}
 	var h *Histogram
 	h.Observe(1.5)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Errorf("nil histogram Count/Sum = %d/%v, want 0/0", h.Count(), h.Sum())
+	if h.Sum() != 0 {
+		t.Errorf("nil histogram Sum = %v, want 0", h.Sum())
 	}
 }
 
@@ -92,7 +91,7 @@ func TestConcurrentWrites(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
 	}
-	if got := h.Count(); got != workers*per {
+	if got := h.count.Load(); got != workers*per {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)
 	}
 	if want := int64(workers*per - 1); g.Value() != want {
