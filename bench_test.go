@@ -161,23 +161,9 @@ func BenchmarkAblationZeroDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFeedforwardOnly runs the ATC without its feedback term,
-// isolating the level-crossing feedforward model's budget-tracking error.
-func BenchmarkAblationFeedforwardOnly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchScenario()
-		cfg.Mode = scenario.ATC
-		cfg.ATCFeedbackOff = true
-		res, err := scenario.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CostFraction, "cost/flood")
-	}
-}
-
-// BenchmarkAblationATCFull is the feedback-enabled counterpart of
-// BenchmarkAblationFeedforwardOnly.
+// BenchmarkAblationATCFull runs the ATC with both its volatility
+// feedforward and its multiplicative feedback. The feedforward alone
+// (FeedbackGamma = 0) is covered by internal/atc's feedforward tests.
 func BenchmarkAblationATCFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchScenario()
@@ -204,21 +190,6 @@ func BenchmarkAblationLossyChannel(b *testing.B) {
 }
 
 // --- Micro-benches on substrate hot paths ---
-
-func BenchmarkEventQueue(b *testing.B) {
-	e := sim.NewEngine()
-	rng := sim.NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := e.Now() + sim.Time(rng.Intn(64)+1)
-		e.Schedule(at, func() {})
-		if e.Pending() > 1024 {
-			for e.Pending() > 0 {
-				e.Step()
-			}
-		}
-	}
-}
 
 func BenchmarkRNGUint64(b *testing.B) {
 	r := sim.NewRNG(1)

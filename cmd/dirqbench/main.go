@@ -167,7 +167,7 @@ func scaleScenario(nodes int, epochs int64, naive bool) scenario.Config {
 // is the GC-settled HeapAlloc delta around a build plus one warmup epoch,
 // so transient construction garbage does not count against the budget but
 // every retained per-node structure (windows, lazy-evaluation snapshots,
-// range tables, MAC frame state, event queue) does.
+// range tables, MAC frame state) does.
 func measureSetup(cfg scenario.Config) (nsPerOp, bytesPerNode float64, err error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats

@@ -242,9 +242,8 @@ func (p *Protocol) QuerySource(id topology.NodeID, queryID int64) {
 }
 
 // Start registers the per-epoch application loop (sensor acquisition and
-// hourly estimates) as an engine ticker, so the epoch drive costs no event-
-// queue traffic. Call once, before running the engine; the MAC must be
-// started separately.
+// hourly estimates) as an engine ticker. Call once, before running the
+// engine; the MAC must be started separately.
 func (p *Protocol) Start() {
 	if p.started {
 		panic("core: Protocol.Start called twice")

@@ -438,17 +438,18 @@ func TestJoinExistingNodeRejected(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() (int64, uint64) {
+	run := func() (int64, radio.Cost) {
 		tn := buildNet(t, 20, 99, fixedCfg(5))
 		tn.run(200)
 		m := tn.channel.Meter()
-		// Steps included to compare full executions, not just costs.
-		return m.ByClass(radio.ClassUpdate).Total(), tn.engine.Steps()
+		// All traffic included to compare full executions, not just
+		// update costs.
+		return m.ByClass(radio.ClassUpdate).Total(), m.Total()
 	}
 	u1, s1 := run()
 	u2, s2 := run()
 	if u1 != u2 || s1 != s2 {
-		t.Fatalf("identical seeds diverged: updates %d vs %d, steps %d vs %d", u1, u2, s1, s2)
+		t.Fatalf("identical seeds diverged: updates %d vs %d, all traffic %+v vs %+v", u1, u2, s1, s2)
 	}
 	if u1 == 0 {
 		t.Fatal("no update traffic in 200 epochs")

@@ -38,6 +38,18 @@ func buildRunner(t *testing.T, seed uint64, mutate func(*scenario.Config)) *scen
 	return r
 }
 
+// at runs fn at epoch t from a ticker at prio. Registered before Run, it
+// runs ahead of the tickers Runner.Start adds at the same priority: at
+// lmac.PrioApp+1 that is after the epoch's sensor acquisition and before
+// the query injection, at lmac.PrioMetrics before the bucket sample.
+func at(r *scenario.Runner, t sim.Time, prio int, fn func()) {
+	r.Engine.AddTicker(prio, func() {
+		if r.Engine.Now() == t {
+			fn()
+		}
+	})
+}
+
 func TestChurnManyDeaths(t *testing.T) {
 	r := buildRunner(t, 21, nil)
 
@@ -52,9 +64,7 @@ func TestChurnManyDeaths(t *testing.T) {
 		if victim == topology.Root {
 			continue
 		}
-		at := sim.Time(800 + 400*i)
-		v := victim
-		r.Engine.SchedulePrio(at, lmac.PrioApp, func() { r.Proto.KillNode(v) })
+		at(r, sim.Time(800+400*i), lmac.PrioApp+1, func() { r.Proto.KillNode(victim) })
 	}
 	res := r.Run()
 
@@ -99,14 +109,14 @@ func TestChurnDeathThenRejoin(t *testing.T) {
 	}
 	mounted := r.Mounted[victim]
 
-	r.Engine.SchedulePrio(1000, lmac.PrioApp, func() { r.Proto.KillNode(victim) })
-	r.Engine.SchedulePrio(2000, lmac.PrioApp, func() {
+	at(r, 1000, lmac.PrioApp+1, func() { r.Proto.KillNode(victim) })
+	at(r, 2000, lmac.PrioApp+1, func() {
 		if err := r.Proto.JoinNode(victim, mounted); err != nil {
 			t.Errorf("rejoin failed: %v", err)
 		}
 	})
 	var back bool
-	r.Engine.SchedulePrio(2600, lmac.PrioMetrics, func() {
+	at(r, 2600, lmac.PrioMetrics, func() {
 		back = r.Tree.Contains(victim)
 	})
 	r.Run()
@@ -263,7 +273,7 @@ func TestSamplingIntegrationWithChurn(t *testing.T) {
 	})
 	leaf := r.Tree.Leaves()[0]
 	if leaf != topology.Root {
-		r.Engine.SchedulePrio(1200, lmac.PrioApp, func() { r.Proto.KillNode(leaf) })
+		at(r, 1200, lmac.PrioApp+1, func() { r.Proto.KillNode(leaf) })
 	}
 	res := r.Run()
 	if res.Sampling.SkipFraction() <= 0 {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-// PrioApp and PrioMAC order same-epoch simulation events: application logic
+// PrioApp and PrioMAC order same-epoch engine tickers: application logic
 // (sensor acquisition, query injection) runs before the MAC frame, which
 // runs before end-of-epoch bookkeeping.
 const (

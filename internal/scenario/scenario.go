@@ -80,9 +80,6 @@ type Config struct {
 	// 10-15 % of flooding, so ρ=0.4 lands the paper's 45-55 % total-cost
 	// band (§6).
 	Rho float64
-	// ATCFeedbackOff disables the controller's multiplicative feedback,
-	// leaving only the volatility feedforward (an ablation knob).
-	ATCFeedbackOff bool
 
 	// Heterogeneous mounts each sensor type with probability TypeProb
 	// instead of giving every node all four types.
@@ -389,10 +386,7 @@ func Build(cfg Config) (*Runner, error) {
 		// and restarted shards re-bind to the counters they already own.
 		reg := cfg.Telemetry
 		engine.SetTelemetry(sim.Telemetry{
-			Scheduled:  reg.Counter("dirq_engine_events_scheduled_total", "Events pushed onto the simulation heap."),
-			Dispatched: reg.Counter("dirq_engine_events_dispatched_total", "One-shot events executed."),
 			TickerRuns: reg.Counter("dirq_engine_ticker_runs_total", "Per-epoch ticker invocations."),
-			HeapPeak:   reg.Gauge("dirq_engine_heap_depth_peak", "High watermark of pending events."),
 		})
 		channel.SetTelemetry(radio.Telemetry{
 			Tx:    reg.Counter("dirq_radio_tx_total", "Physical transmissions."),
@@ -446,9 +440,6 @@ func Build(cfg Config) (*Runner, error) {
 		}
 	case cfg.Mode == ATC:
 		acfg := atc.DefaultConfig(cfg.EpochsPerHour)
-		if cfg.ATCFeedbackOff {
-			acfg.FeedbackGamma = 0
-		}
 		pcfg.Controllers = func(topology.NodeID) core.Controller {
 			c, cerr := atc.NewController(acfg)
 			if cerr != nil {
@@ -579,8 +570,8 @@ func (r *Runner) Resolve(q query.Query) query.GroundTruth {
 
 // Start arms the simulation: the protocol and MAC begin, and the query
 // workload (unless Cfg.DisableWorkload), per-bucket metric sampling, and
-// energy accounting are scheduled. Call exactly once, then drive the
-// clock with Step.
+// energy accounting register as engine tickers. Call exactly once, then
+// drive the clock with Step.
 func (r *Runner) Start() {
 	if r.started {
 		panic("scenario: Runner.Start called twice")
@@ -594,30 +585,28 @@ func (r *Runner) Start() {
 	// application priority but after the epoch's sensor acquisition
 	// (priority +1 keeps it within the same tick, after readings).
 	if !cfg.DisableWorkload {
-		var inject func()
-		inject = func() {
-			now := r.Engine.Now()
-			q, truth := r.workload.Next(r.Gen, r.Tree, r.Mounted)
-			r.Inject(q, truth)
-			next := now + sim.Time(cfg.QueryInterval)
-			if int64(next) < cfg.Epochs {
-				r.Engine.SchedulePrio(next, lmac.PrioApp+1, inject)
-			}
-		}
 		first := sim.Time(cfg.WarmupEpochs)
 		if first == 0 {
 			first = sim.Time(cfg.QueryInterval)
 		}
-		if int64(first) < cfg.Epochs {
-			r.Engine.SchedulePrio(first, lmac.PrioApp+1, inject)
-		}
+		r.Engine.AddTicker(lmac.PrioApp+1, func() {
+			now := r.Engine.Now()
+			if now < first || int64(now) >= cfg.Epochs ||
+				(now-first)%sim.Time(cfg.QueryInterval) != 0 {
+				return
+			}
+			q, truth := r.workload.Next(r.Gen, r.Tree, r.Mounted)
+			r.Inject(q, truth)
+		})
 	}
 
 	// Per-bucket sampling of update traffic and mean δ, at end-of-epoch
 	// priority on the last epoch of each bucket.
-	var sample func()
-	sample = func() {
+	r.Engine.AddTicker(lmac.PrioMetrics, func() {
 		now := r.Engine.Now()
+		if (now+1)%sim.Time(cfg.BucketEpochs) != 0 {
+			return
+		}
 		tx := r.Meter.ByClass(radio.ClassUpdate).Tx
 		r.updates.Add(int64(now), float64(tx-r.lastTx))
 		r.lastTx = tx
@@ -633,12 +622,7 @@ func (r *Runner) Start() {
 		if dcnt > 0 {
 			r.deltas.Add(int64(now), dsum/float64(dcnt))
 		}
-		next := now + sim.Time(cfg.BucketEpochs)
-		if int64(next) <= cfg.Epochs {
-			r.Engine.SchedulePrio(next, lmac.PrioMetrics, sample)
-		}
-	}
-	r.Engine.SchedulePrio(sim.Time(cfg.BucketEpochs-1), lmac.PrioMetrics, sample)
+	})
 
 	if r.bank != nil {
 		r.bank.OnDeath(func(id topology.NodeID) {
@@ -649,8 +633,12 @@ func (r *Runner) Start() {
 				r.Proto.KillNode(id)
 			}
 		})
-		var energyTick func()
-		energyTick = func() {
+		// Registered after the sample ticker, so an epoch's bucket sample
+		// sees the network before that epoch's energy deaths.
+		r.Engine.AddTicker(lmac.PrioMetrics, func() {
+			if int64(r.Engine.Now()) >= cfg.Epochs {
+				return
+			}
 			r.bank.DrainIdleEpoch()
 			for _, id := range r.Tree.Nodes() {
 				if id == topology.Root || !r.Channel.Alive(id) {
@@ -661,12 +649,7 @@ func (r *Runner) Start() {
 				}
 			}
 			r.prevCosts = r.bank.ApplyMeterDelta(r.Meter, r.prevCosts)
-			next := r.Engine.Now() + 1
-			if int64(next) < cfg.Epochs {
-				r.Engine.SchedulePrio(next, lmac.PrioMetrics, energyTick)
-			}
-		}
-		r.Engine.SchedulePrio(0, lmac.PrioMetrics, energyTick)
+		})
 	}
 }
 

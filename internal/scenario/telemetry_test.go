@@ -104,9 +104,12 @@ func TestTelemetryCounts(t *testing.T) {
 		// Epochs+1: the warmup flush epoch at t=0 also steps the protocol.
 		t.Errorf("dirq_epochs_total = %d, want %d", got, cfg.Epochs+1)
 	}
+	// The protocol, MAC, query and sampling tickers each run once per
+	// executed epoch; this configuration has no energy ticker.
+	if got, want := count("dirq_engine_ticker_runs_total"), 4*(cfg.Epochs+1); got != want {
+		t.Errorf("dirq_engine_ticker_runs_total = %d, want %d", got, want)
+	}
 	for _, name := range []string{
-		"dirq_engine_events_scheduled_total",
-		"dirq_engine_events_dispatched_total",
 		"dirq_radio_tx_total",
 		"dirq_radio_rx_total",
 		"dirq_field_evals_total",

@@ -44,11 +44,11 @@ func TestManagerAutoTelemetry(t *testing.T) {
 		t.Errorf("shard labels = %v, want both a and b", shards)
 	}
 	for _, want := range []string{
-		"dirq_epochs_total",                   // protocol layer
-		"dirq_radio_tx_total",                 // radio layer
-		"dirq_engine_events_dispatched_total", // event queue
-		"dirq_serve_queries_served_total",     // serving layer
-		"dirq_serve_admission_queue_depth",    // admission gauge
+		"dirq_epochs_total",                // protocol layer
+		"dirq_radio_tx_total",              // radio layer
+		"dirq_engine_ticker_runs_total",    // epoch clock
+		"dirq_serve_queries_served_total",  // serving layer
+		"dirq_serve_admission_queue_depth", // admission gauge
 	} {
 		if !families[want] {
 			t.Errorf("metric family %s not registered", want)

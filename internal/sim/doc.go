@@ -1,11 +1,16 @@
-// Package sim provides the deterministic discrete-event simulation engine
-// underneath every DirQ run — the OMNeT++ substitute of the paper's §7
-// evaluation setup.
+// Package sim provides the deterministic epoch clock underneath every
+// DirQ run — the OMNeT++ substitute of the paper's §7 evaluation setup.
 //
 // In the repo's layer map this is the bottom of the substrate: every other
-// layer (topology, radio, lmac, core, scenario, serve) schedules its work
-// here. The engine keys events by (time, priority, sequence) and pairs with
-// a seeded, splittable random number generator (rng.go), so every
+// layer (topology, radio, lmac, core, scenario, serve) runs its work from
+// here. The paper's model is epoch-driven (one reading and one LMAC frame
+// per epoch, an estimate every hour, a query every QueryInterval epochs),
+// so the engine is a list of tickers and nothing else. Engine.AddTicker
+// registers a handler at a priority; Engine.RunUntil walks the clock tick
+// by tick and calls every ticker in ascending priority, with registration
+// order breaking ties. Work due only at some epochs (query injection,
+// bucket sampling) is a ticker that checks Now. The engine pairs with a
+// seeded, splittable random number generator (rng.go), so every
 // simulation run is exactly reproducible from its seed, for any worker
 // count. The field model's one exponential is Exp (exp.go), a Go replay
 // of the FMA path of math.Exp's amd64 assembly that rounds alike on every
@@ -21,18 +26,4 @@
 // SweepWindows, the activity sweep's per-pair window test. Each replays
 // the scalar operations lane for lane, so no output bit depends on
 // whether they run.
-//
-// The event queue is a binary min-heap of events held by value, so it is
-// allocation-free once the slice has grown to the peak number of pending
-// events (one or two on every shipped workload). Cancel removes its event
-// with a linear search, and every removal clears the vacated slot so the
-// queue never keeps a finished closure alive.
-//
-// Work that is due at every tick (the protocol's epoch sweep, the MAC
-// frame) registers as a ticker (Engine.AddTicker) instead of re-scheduling
-// itself each epoch: Run/RunUntil batch-advance the clock and call tickers
-// directly, so the per-epoch drive costs no event-queue traffic at all.
-// Ordering stays strict — at a shared timestamp a ticker runs before heap
-// events of the same priority, exactly where its self-scheduled
-// predecessor sat.
 package sim

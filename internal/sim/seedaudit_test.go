@@ -158,15 +158,6 @@ var testOnlyExportAllowlist = map[string]string{
 	"sensordata.Generator.Params":             "facade-reachable: dirq.Runner.Gen",
 	"sensordata.Generator.SetParams":          "facade-reachable: dirq.Runner.Gen",
 	"sensordata.TypeSet.Without":              "facade-reachable: dirq.Runner.Mounted",
-	"sim.Engine.Cancel":                       "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Pending":                      "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Reset":                        "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Run":                          "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Schedule":                     "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.ScheduleIn":                   "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Steps":                        "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Stop":                         "facade-reachable: dirq.Runner.Engine",
-	"sim.Engine.Stopped":                      "facade-reachable: dirq.Runner.Engine",
 	"topology.DefaultPlacement":               "fixture: test networks in several packages",
 	"topology.Graph.Clone":                    "facade-reachable: dirq.Runner.Graph",
 	"topology.Graph.RemoveNodeEdges":          "facade-reachable: dirq.Runner.Graph",

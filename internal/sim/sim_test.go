@@ -1,9 +1,11 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/telemetry"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
@@ -11,239 +13,173 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %d, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
-	}
 }
 
-func TestScheduleAndRunInOrder(t *testing.T) {
+func TestRunUntilAdvancesClockWithoutTickers(t *testing.T) {
 	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{5, 1, 3, 2, 4} {
-		at := at
-		e.Schedule(at, func() { got = append(got, at) })
+	e.RunUntil(7)
+	if e.Now() != 7 {
+		t.Fatalf("Now() = %d, want 7", e.Now())
 	}
-	e.Run()
-	want := []Time{1, 2, 3, 4, 5}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestTieBreakBySequence(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(7, func() { got = append(got, i) })
-	}
-	e.Run()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("insertion order not preserved at ties: %v", got)
-		}
+	e.RunUntil(3)
+	if e.Now() != 7 {
+		t.Fatalf("RunUntil(3) moved the clock back to %d", e.Now())
 	}
 }
 
 func TestTieBreakByPriority(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.SchedulePrio(3, 2, func() { got = append(got, 2) })
-	e.SchedulePrio(3, 0, func() { got = append(got, 0) })
-	e.SchedulePrio(3, 1, func() { got = append(got, 1) })
-	e.Run()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("priority order violated: %v", got)
-		}
+	for _, p := range []int{2, 0, 1} {
+		e.AddTicker(p, func() { got = append(got, p) })
+	}
+	e.RunUntil(0)
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("priority order violated: %v", got)
 	}
 }
 
-func TestScheduleInRelative(t *testing.T) {
+func TestTieBreakBySequence(t *testing.T) {
 	e := NewEngine()
-	var at Time = -1
-	e.Schedule(10, func() {
-		e.ScheduleIn(5, func() { at = e.Now() })
-	})
-	e.Run()
-	if at != 15 {
-		t.Fatalf("relative event ran at %d, want 15", at)
+	var got []int
+	for i := 0; i < 5; i++ {
+		e.AddTicker(7, func() { got = append(got, i) })
 	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
-}
-
-func TestScheduleNilPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling nil handler did not panic")
-		}
-	}()
-	e.Schedule(1, nil)
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	id := e.Schedule(4, func() { ran = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for a live event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("Cancel returned true for an already-canceled event")
-	}
-	e.Run()
-	if ran {
-		t.Fatal("canceled event still ran")
-	}
-}
-
-func TestCancelAfterRunIsNoop(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(1, func() {})
-	e.Run()
-	if e.Cancel(id) {
-		t.Fatal("Cancel returned true for a finished event")
-	}
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{1, 2, 3, 10, 20} {
-		at := at
-		e.Schedule(at, func() { got = append(got, at) })
-	}
-	e.RunUntil(5)
-	if len(got) != 3 {
-		t.Fatalf("ran %d events, want 3 (%v)", len(got), got)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("Now() = %d, want clock advanced to 5", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
-	}
-	e.RunUntil(20)
-	if len(got) != 5 {
-		t.Fatalf("ran %d events after second RunUntil, want 5", len(got))
+	e.RunUntil(1)
+	if want := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("registration order not kept at equal priority: %v, want %v", got, want)
 	}
 }
 
 func TestRunUntilInclusive(t *testing.T) {
 	e := NewEngine()
-	ran := false
-	e.Schedule(5, func() { ran = true })
+	var ticks []Time
+	e.AddTicker(0, func() { ticks = append(ticks, e.Now()) })
+	e.RunUntil(3)
+	if !slices.Equal(ticks, []Time{0, 1, 2, 3}) || e.Now() != 3 {
+		t.Fatalf("ticks %v, Now() = %d; want 0..3 and 3", ticks, e.Now())
+	}
+	e.RunUntil(3)
+	if len(ticks) != 4 {
+		t.Fatalf("repeating RunUntil(3) reran a tick: %v", ticks)
+	}
+}
+
+func TestRunUntilLeavesLaterEvents(t *testing.T) {
+	e := NewEngine()
+	var ticks []Time
+	e.AddTicker(0, func() { ticks = append(ticks, e.Now()) })
+	e.RunUntil(2)
+	if len(ticks) != 3 {
+		t.Fatalf("ran ticks %v, want 0..2", ticks)
+	}
 	e.RunUntil(5)
-	if !ran {
-		t.Fatal("event exactly at the boundary did not run")
+	if !slices.Equal(ticks, []Time{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("ticks %v, want 0..5", ticks)
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
+// A ticker added between RunUntil calls first runs at the current tick,
+// which the tickers already registered do not run again.
+func TestTickerAddedBetweenRuns(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	for i := Time(1); i <= 100; i++ {
-		e.Schedule(i, func() {
-			count++
-			if count == 10 {
-				e.Stop()
-			}
-		})
+	type run struct {
+		name string
+		at   Time
 	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("ran %d events after Stop, want 10", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	var got []run
+	e.AddTicker(5, func() { got = append(got, run{"old", e.Now()}) })
+	e.RunUntil(2)
+	got = got[:0]
+	e.AddTicker(0, func() { got = append(got, run{"new", e.Now()}) })
+	e.RunUntil(3)
+	want := []run{{"new", 2}, {"new", 3}, {"old", 3}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("runs %v, want %v", got, want)
 	}
 }
 
-func TestStepsCounter(t *testing.T) {
+func TestAddTickerNilPanics(t *testing.T) {
 	e := NewEngine()
-	for i := Time(1); i <= 7; i++ {
-		e.Schedule(i, func() {})
-	}
-	e.Run()
-	if e.Steps() != 7 {
-		t.Fatalf("Steps() = %d, want 7", e.Steps())
-	}
-}
-
-func TestEventsScheduledDuringRun(t *testing.T) {
-	e := NewEngine()
-	depth := 0
-	var recurse Handler
-	recurse = func() {
-		depth++
-		if depth < 50 {
-			e.ScheduleIn(1, recurse)
+	defer func() {
+		if recover() == nil {
+			t.Error("AddTicker with a nil handler did not panic")
 		}
-	}
-	e.Schedule(0, recurse)
-	e.Run()
-	if depth != 50 {
-		t.Fatalf("chained scheduling depth = %d, want 50", depth)
-	}
-	if e.Now() != 49 {
-		t.Fatalf("Now() = %d, want 49", e.Now())
+	}()
+	e.AddTicker(0, nil)
+}
+
+func TestAddTickerInsideHandlerPanics(t *testing.T) {
+	e := NewEngine()
+	panicked := false
+	e.AddTicker(0, func() {
+		defer func() { panicked = recover() != nil }()
+		e.AddTicker(1, func() {})
+	})
+	e.RunUntil(0)
+	if !panicked {
+		t.Fatal("AddTicker from inside a handler did not panic")
 	}
 }
 
-// Property: any multiset of timestamps is executed in sorted order.
+func TestTickerRunsCounted(t *testing.T) {
+	e := NewEngine()
+	runs := telemetry.NewRegistry().Counter("ticker_runs_total", "")
+	e.SetTelemetry(Telemetry{TickerRuns: runs})
+	e.AddTicker(0, func() {})
+	e.AddTicker(1, func() {})
+	e.RunUntil(4)
+	if runs.Value() != 10 {
+		t.Fatalf("TickerRuns = %d, want 10 (2 tickers x 5 ticks)", runs.Value())
+	}
+}
+
+// Property: within a tick, any set of priorities runs in ascending order,
+// registration order breaking ties.
 func TestPropertyEventOrdering(t *testing.T) {
-	f := func(stamps []uint16) bool {
+	f := func(prios []uint8) bool {
 		e := NewEngine()
-		var got []Time
-		for _, s := range stamps {
-			at := Time(s)
-			e.Schedule(at, func() { got = append(got, at) })
+		var got []int
+		for i, p := range prios {
+			e.AddTicker(int(p%4), func() { got = append(got, i) })
 		}
-		e.Run()
-		if len(got) != len(stamps) {
-			return false
+		e.RunUntil(0)
+		want := make([]int, len(prios))
+		for i := range want {
+			want[i] = i
 		}
-		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
+		slices.SortStableFunc(want, func(a, b int) int { return int(prios[a]%4) - int(prios[b]%4) })
+		return slices.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: the clock never moves backwards across an arbitrary schedule.
+// Property: across any sequence of RunUntil targets, a ticker sees every
+// tick exactly once, in order, and the clock never moves backwards.
 func TestPropertyMonotonicClock(t *testing.T) {
-	f := func(stamps []uint8) bool {
+	f := func(targets []uint8) bool {
 		e := NewEngine()
-		prev := Time(-1)
-		ok := true
-		for _, s := range stamps {
-			e.Schedule(Time(s), func() {
-				if e.Now() < prev {
-					ok = false
-				}
-				prev = e.Now()
-			})
+		var ticks []Time
+		e.AddTicker(0, func() { ticks = append(ticks, e.Now()) })
+		prev := e.Now()
+		for _, u := range targets {
+			e.RunUntil(Time(u))
+			if e.Now() < prev {
+				return false
+			}
+			prev = e.Now()
 		}
-		e.Run()
-		return ok
+		if len(targets) == 0 {
+			return len(ticks) == 0
+		}
+		for i, at := range ticks {
+			if at != Time(i) {
+				return false
+			}
+		}
+		return len(ticks) == int(e.Now())+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

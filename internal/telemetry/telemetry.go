@@ -75,20 +75,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// SetMax raises the gauge to v if v exceeds the current value — a
-// high-watermark (e.g. peak event-heap depth).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.v.Load()
-		if v <= old || g.v.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

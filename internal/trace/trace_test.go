@@ -107,10 +107,12 @@ func TestHookStampsEngineTime(t *testing.T) {
 	r, _ := NewRecorder(10)
 	e := sim.NewEngine()
 	hook := r.Hook(e)
-	e.Schedule(42, func() {
-		hook(core.TraceEvent{Kind: core.TraceDeath, Node: 1})
+	e.AddTicker(0, func() {
+		if e.Now() == 42 {
+			hook(core.TraceEvent{Kind: core.TraceDeath, Node: 1})
+		}
 	})
-	e.Run()
+	e.RunUntil(50)
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].Epoch != 42 {
 		t.Fatalf("events %v", evs)
