@@ -442,7 +442,7 @@ const (
 
 // ratioFloors are the speed axes. Each divides the node-epochs/s of two
 // rungs from the same candidate run, so host speed cancels and a slow
-// runner cannot fail them. Each floor sits below the lowest of the 20
+// runner cannot fail them. Each floor sits below the lowest of the
 // full-scale runs recorded in PERFORMANCE.md ("The bench-regression
 // gate") and above what the step change it exists for reads.
 var ratioFloors = []struct {
@@ -452,8 +452,9 @@ var ratioFloors = []struct {
 	// Large-N locality: runs read 0.73-1.33; the large-N cliff the engine
 	// once had (24k against ~1.9M node-epochs/s) read ~0.013.
 	{"scale/fixed-100000", "scale/fixed-5000", 0.40},
-	// Activity gating: runs read 1.34-2.37; with gating silently off the
-	// gated rung runs the naive path and the ratio falls to ~1.0.
+	// Activity gating: 10 runs read 2.75-3.64 (median 3.40); with gating
+	// silently off the gated rung runs the naive path and the ratio falls
+	// to ~1.0.
 	{"scale/fixed-1000", "scale/naive-1000", 1.20},
 }
 

@@ -35,7 +35,7 @@ func TestQuietFrameAllocFree(t *testing.T) {
 	uniTo := g.Neighbors(1)[0]
 	targets := g.Neighbors(3)
 
-	// Warm up queues, spares, the multicast pool and the dirty heap.
+	// Warm up queues, spares and the multicast pool.
 	for i := 0; i < 5; i++ {
 		m.Unicast(1, uniTo, radio.ClassUpdate, nil)
 		m.Multicast(3, targets, radio.ClassQuery, nil)
@@ -65,70 +65,5 @@ func TestSilentFrameAllocFreeAndCheap(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("silent frame allocates %.1f objects, want 0", allocs)
-	}
-}
-
-// TestQuietFrameMatchesFullFrameDeliveries cross-checks the dirty-list
-// fast path against the full sweep: the same enqueue pattern must produce
-// identical delivery sequences and meter readings whether quiescence is
-// enabled or not.
-func TestQuietFrameMatchesFullFrameDeliveries(t *testing.T) {
-	type delivery struct {
-		at, from topology.NodeID
-		msg      any
-	}
-	run := func(quiesce bool) ([]delivery, radio.Cost) {
-		rng := sim.NewRNG(6)
-		g, err := topology.PlaceRandom(topology.DefaultPlacement(), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine := sim.NewEngine()
-		meter := radio.NewMeter(g.Len())
-		ch := radio.NewChannel(g, meter)
-		m, err := New(engine, ch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetQuiescence(quiesce)
-		var got []delivery
-		for i := 0; i < g.Len(); i++ {
-			id := topology.NodeID(i)
-			m.Listen(id, func(from topology.NodeID, msg any) {
-				got = append(got, delivery{at: id, from: from, msg: msg})
-				// Relay once to exercise mid-frame dirtying (back to the
-				// sender, which is a radio neighbor by construction).
-				if s, ok := msg.(string); ok && s == "relay" {
-					m.Unicast(id, from, radio.ClassQuery, "done")
-				}
-			})
-		}
-		m.Init()
-		for frame := 0; frame < 12; frame++ {
-			switch frame {
-			case 1:
-				m.Unicast(topology.Root, g.Neighbors(topology.Root)[0], radio.ClassUpdate, "u")
-			case 3:
-				m.Multicast(2, g.Neighbors(2), radio.ClassQuery, "relay")
-			case 7:
-				m.Broadcast(4, radio.ClassEstimate, "e")
-			}
-			m.RunFrame()
-		}
-		return got, meter.Total()
-	}
-
-	quiet, quietCost := run(true)
-	full, fullCost := run(false)
-	if quietCost != fullCost {
-		t.Fatalf("meter diverged: quiet %+v vs full %+v", quietCost, fullCost)
-	}
-	if len(quiet) != len(full) {
-		t.Fatalf("delivery count diverged: quiet %d vs full %d", len(quiet), len(full))
-	}
-	for i := range quiet {
-		if quiet[i] != full[i] {
-			t.Fatalf("delivery %d diverged: quiet %+v vs full %+v", i, quiet[i], full[i])
-		}
 	}
 }

@@ -2,7 +2,7 @@
 // Havinga, 2004): a TDMA MAC with a distributed, self-organizing schedule in
 // which every node owns one time slot per frame that is unique within its
 // two-hop neighborhood, plus the cross-layer interface of §4.2 of the DirQ
-// paper — notifications when a neighboring node dies or appears.
+// paper — a notification when a neighboring node dies.
 //
 // One frame corresponds to one simulation epoch. During its slot a node
 // implicitly beacons (which carries neighborhood liveness, as LMAC's control
@@ -16,11 +16,14 @@
 // order, queue buffers and multicast address lists, so steady-state
 // traffic does not allocate.
 //
-// Frames are quiescence-gated: while membership is steady, a frame visits
-// only nodes with queued traffic (in the same slot order as the full
-// sweep) and a silent frame short-circuits to a counter increment, with
-// beacon bookkeeping virtualized and re-materialized on demand. Any kill,
-// join or power flip opens a window of full frames long enough for the
-// original beacon-miss detection to run unchanged, so cross-layer death
-// and join notifications fire at exactly the epochs they always did.
+// A frame visits only the nodes with queued traffic, in (slot, id) order,
+// and a frame without traffic or pending deaths is a counter increment.
+// Beacons are implicit: every live node beacons in every frame, so a pair
+// that has been live through a frame heard each other in the previous
+// one, and the MAC stores a liveness stamp only when a power flip ends or
+// restarts a pair. A kill puts each live neighbor's entry for the victim
+// on a pending list, and the frame that finds it deadThreshold frames old
+// declares the death. The frozen per-frame beacon sweep in
+// reference_test.go holds the deliveries and the death notifications to
+// the frame and the order they have always had.
 package lmac

@@ -1,7 +1,10 @@
 package lmac
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/radio"
@@ -35,10 +38,8 @@ type queuedMsg struct {
 // nodeState is the per-node MAC state. Neighbor liveness lives in the
 // MAC's flat edge-parallel lastHeard array, not here.
 type nodeState struct {
-	id         topology.NodeID
-	slot       int
-	registered bool
-	queue      []queuedMsg
+	slot  int
+	queue []queuedMsg
 	// spare is the queue buffer flushed last frame, kept for reuse: queue
 	// and spare ping-pong so steady-state traffic never reallocates.
 	spare []queuedMsg
@@ -47,6 +48,14 @@ type nodeState struct {
 // unheard is the lastHeard sentinel for "this neighbor is not in the
 // node's MAC table".
 const unheard = int64(-1) << 62
+
+// deathWatch is a live node's table entry for a neighbor that powered
+// off: the entry at edge whose holder is at. It stays on the MAC's
+// pending list until the death is declared or can no longer be.
+type deathWatch struct {
+	edge int32
+	at   topology.NodeID
+}
 
 // MAC is the link layer for the whole network. A single object manages all
 // nodes' MAC state; per-node behaviour remains strictly local (each node
@@ -62,8 +71,7 @@ type MAC struct {
 	deadThreshold int64
 
 	// order lists every node sorted by (slot, id). Slots are assigned once
-	// at construction, so the frame iteration order is static; RunFrame
-	// skips unregistered/dead nodes while iterating.
+	// at construction, so the frame iteration order is static.
 	order []topology.NodeID
 	// orderPos inverts order: the frame position owned by each node.
 	orderPos []int32
@@ -71,43 +79,36 @@ type MAC struct {
 	// caller's targets into a pooled slice, and the flush returns it after
 	// transmission.
 	targetFree [][]topology.NodeID
-	// deadScratch/deadPosScratch are reused by the per-frame liveness
-	// sweep (dead neighbor IDs and their edge positions).
-	deadScratch    []topology.NodeID
-	deadPosScratch []int32
 
 	// Flat neighbor-table index. The channel graph is static for the
 	// MAC's lifetime, so per-(node, neighbor) liveness stamps live in one
 	// edge-parallel array instead of a map per node: entry adjOff[i]+k is
 	// node i's stamp for its k-th (sorted) radio neighbor adjFlat[...],
-	// and revEdge maps each directed edge to its reverse so a beacon
-	// updates every receiver's table with one indexed store.
-	adjOff    []int32
-	adjFlat   []topology.NodeID
-	revEdge   []int32
+	// and revEdge maps each directed edge to its reverse.
+	adjOff  []int32
+	adjFlat []topology.NodeID
+	revEdge []int32
+	// lastHeard holds each entry's stamp as of the last power flip that
+	// touched its pair. Every live node beacons in every frame, so a pair
+	// that has been live through a frame heard each other in the previous
+	// one; heard derives that stamp from lifeStart, and onAliveChange
+	// stores it here just before a flip ends or restarts the pair.
 	lastHeard []int64
+	// lifeStart is the frame counter at each node's last power-on.
+	lifeStart []int64
 
-	// Quiescent-frame machinery. While the membership is steady (no kill,
-	// join or power flip in flight) a frame only needs to visit nodes with
-	// queued traffic: beacons carry no payload and their only effect —
-	// advancing every live pair's last-heard stamp — is virtualized and
-	// re-materialized on demand. Membership changes open a "turbulence"
-	// window of full frames long enough for every death to be detected
-	// through the original beacon bookkeeping, after which frames go quiet
-	// again. A silent frame (no queued traffic anywhere) short-circuits to
-	// a frame-counter increment.
-	quiesce        bool  // fast path enabled (default true)
-	turbulentUntil int64 // frames below this run the full beacon sweep
-	stale          bool  // lastHeard tables lag behind the frame counter
-	dirtyHeap      []int32
-	dirtyNext      []int32
-	inDirty        []bool
-	inFrame        bool
-	framePos       int32
+	// dirty holds one bit per frame position, set while that node has
+	// traffic queued for its slot; dirtyN counts the set bits. A frame
+	// scans the bits upward, so a bit set behind the cursor waits for the
+	// next frame, and a frame with no bit set is silent.
+	dirty  []uint64
+	dirtyN int
+	// pending lists the table entries of powered-off neighbors whose
+	// death is yet to be declared.
+	pending []deathWatch
 
 	receivers []func(from topology.NodeID, msg any)
 	onDead    func(at topology.NodeID, dead topology.NodeID)
-	onNew     func(at topology.NodeID, fresh topology.NodeID)
 
 	tel Telemetry
 }
@@ -116,13 +117,9 @@ type MAC struct {
 // instruments are nil-safe); nothing here feeds back into scheduling, so
 // an instrumented MAC runs the identical frame sequence.
 type Telemetry struct {
-	// FramesFull counts frames that ran the full beacon + liveness sweep
-	// (turbulence windows, or quiescence disabled).
-	FramesFull *telemetry.Counter
-	// FramesQuiet counts quiescent frames that visited only dirty nodes.
+	// FramesQuiet counts frames that visited nodes with queued traffic.
 	FramesQuiet *telemetry.Counter
-	// FramesSilent counts quiescent frames with no queued traffic at all
-	// (the short-circuit to a frame-counter increment).
+	// FramesSilent counts frames with no queued traffic at all.
 	FramesSilent *telemetry.Counter
 	// MessagesFlushed counts queued data messages handed to the channel.
 	MessagesFlushed *telemetry.Counter
@@ -149,10 +146,7 @@ func New(engine *sim.Engine, channel *radio.Channel) (*MAC, error) {
 	}
 	maxSlot := 0
 	for i := range m.nodes {
-		m.nodes[i] = nodeState{
-			id:   topology.NodeID(i),
-			slot: slots[i],
-		}
+		m.nodes[i] = nodeState{slot: slots[i]}
 		if slots[i] > maxSlot {
 			maxSlot = slots[i]
 		}
@@ -186,18 +180,18 @@ func New(engine *sim.Engine, channel *radio.Channel) (*MAC, error) {
 		m.order[i] = topology.NodeID(i)
 	}
 	sort.Slice(m.order, func(i, j int) bool {
-		a, b := &m.nodes[m.order[i]], &m.nodes[m.order[j]]
-		if a.slot != b.slot {
-			return a.slot < b.slot
+		a, b := m.order[i], m.order[j]
+		if sa, sb := m.nodes[a].slot, m.nodes[b].slot; sa != sb {
+			return sa < sb
 		}
-		return a.id < b.id
+		return a < b
 	})
 	m.orderPos = make([]int32, len(m.nodes))
 	for pos, id := range m.order {
 		m.orderPos[id] = int32(pos)
 	}
-	m.inDirty = make([]bool, len(m.nodes))
-	m.quiesce = true
+	m.lifeStart = make([]int64, n)
+	m.dirty = make([]uint64, (n+63)/64)
 	for i := range m.nodes {
 		if channel.Alive(topology.NodeID(i)) {
 			m.register(topology.NodeID(i))
@@ -207,106 +201,49 @@ func New(engine *sim.Engine, channel *radio.Channel) (*MAC, error) {
 	return m, nil
 }
 
-// SetQuiescence toggles the steady-state fast path (on by default).
-// Disabling it forces the full beacon sweep every frame — the pre-gating
-// behaviour, kept as the "naive" reference for equivalence tests and the
-// scale benchmarks.
-func (m *MAC) SetQuiescence(enabled bool) { m.quiesce = enabled }
-
-// onAliveChange is wired to the channel: any power flip first materializes
-// the virtualized liveness stamps (while the old power state is still in
-// force) and then opens a turbulence window of full frames, so deaths are
-// detected — and joins announced — exactly as the original per-frame
-// beacon bookkeeping would have.
-func (m *MAC) onAliveChange(topology.NodeID, bool) {
-	m.materialize()
-	until := m.frame + m.deadThreshold + 2
-	if until > m.turbulentUntil {
-		m.turbulentUntil = until
+// heard returns the last frame in which node at heard the neighbor nb
+// whose entry in at's table is edge e (unheard if nb is not in it).
+func (m *MAC) heard(e int32, at, nb topology.NodeID) int64 {
+	if m.channel.Alive(at) && m.channel.Alive(nb) && m.frame > max(m.lifeStart[at], m.lifeStart[nb]) {
+		return m.frame - 1
 	}
+	return m.lastHeard[e]
 }
 
-// materialize brings every lastHeard table up to date with the quiescent
-// invariant: all mutually live registered neighbors heard each other in
-// the previous frame. A no-op unless quiet frames have run since the last
-// full one.
-func (m *MAC) materialize() {
-	if !m.stale {
-		return
-	}
-	m.stale = false
-	for i := range m.nodes {
-		st := &m.nodes[i]
-		if !st.registered || !m.channel.Alive(st.id) {
-			continue
-		}
-		off := m.adjOff[i]
-		row := m.adjFlat[off:m.adjOff[i+1]]
-		for k, nb := range row {
-			if m.nodes[nb].registered && m.channel.Alive(nb) {
-				m.lastHeard[int(off)+k] = m.frame - 1
+// onAliveChange is wired to the channel and runs just before a node's
+// power flag flips, always between frames. A live node's neighbors store
+// the stamp they hold for it, since its beacons are about to stop or
+// restart; a kill also puts their entries on the pending list, where
+// RunFrame declares the death once the entry is deadThreshold frames old.
+// A power-on re-primes the node's own table.
+func (m *MAC) onAliveChange(id topology.NodeID, alive bool) {
+	off, end := m.adjOff[id], m.adjOff[id+1]
+	if m.channel.Alive(id) {
+		for e := off; e < end; e++ {
+			nb := m.adjFlat[e]
+			if !m.channel.Alive(nb) {
+				continue
+			}
+			w := m.revEdge[e]
+			m.lastHeard[w] = m.heard(w, nb, id)
+			if !alive {
+				m.pending = append(m.pending, deathWatch{edge: w, at: nb})
 			}
 		}
+	}
+	if alive {
+		m.register(id)
 	}
 }
 
 // markDirty records that a node has traffic queued for its next slot.
 func (m *MAC) markDirty(id topology.NodeID) {
-	if m.inDirty[id] {
-		return
-	}
-	m.inDirty[id] = true
 	pos := m.orderPos[id]
-	if m.inFrame && pos > m.framePos {
-		m.dirtyPush(pos)
-	} else {
-		m.dirtyNext = append(m.dirtyNext, pos)
+	w, bit := pos>>6, uint64(1)<<(pos&63)
+	if m.dirty[w]&bit == 0 {
+		m.dirty[w] |= bit
+		m.dirtyN++
 	}
-}
-
-// dirtyPush adds a frame position to the current frame's min-heap.
-func (m *MAC) dirtyPush(pos int32) {
-	h := append(m.dirtyHeap, pos)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= pos {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = pos
-	m.dirtyHeap = h
-}
-
-// dirtyPop removes and returns the smallest queued frame position.
-func (m *MAC) dirtyPop() int32 {
-	h := m.dirtyHeap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	m.dirtyHeap = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1] < h[c] {
-			c++
-		}
-		if h[c] >= last {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	if n > 0 {
-		h[i] = last
-	}
-	return top
 }
 
 // getTargets returns a pooled slice holding a copy of targets.
@@ -324,12 +261,11 @@ func (m *MAC) putTargets(buf []topology.NodeID) {
 	m.targetFree = append(m.targetFree, buf)
 }
 
-// register marks a node as MAC-active and primes its neighbor table with
+// register starts a node's MAC life and primes its neighbor table with
 // its currently-live radio neighbors (LMAC learns these during its join
 // phase; we start post-convergence, as the paper's simulations do).
 func (m *MAC) register(id topology.NodeID) {
-	st := &m.nodes[id]
-	st.registered = true
+	m.lifeStart[id] = m.frame
 	off := m.adjOff[id]
 	row := m.adjFlat[off:m.adjOff[id+1]]
 	for k, nb := range row {
@@ -340,6 +276,10 @@ func (m *MAC) register(id topology.NodeID) {
 		} else {
 			m.lastHeard[int(off)+k] = unheard
 		}
+	}
+	// Traffic queued while the node was down goes out in its first slot.
+	if len(m.nodes[id].queue) > 0 {
+		m.markDirty(id)
 	}
 }
 
@@ -370,10 +310,6 @@ func (m *MAC) Listen(id topology.NodeID, fn func(from topology.NodeID, msg any))
 // of its neighbors is detected dead (§4.2: "When LMAC detects that a
 // neighboring node has died, it sends a notification to DirQ").
 func (m *MAC) OnNeighborDead(fn func(at, dead topology.NodeID)) { m.onDead = fn }
-
-// OnNeighborNew registers the callback fired at a node when a new neighbor
-// is heard for the first time.
-func (m *MAC) OnNeighborNew(fn func(at, fresh topology.NodeID)) { m.onNew = fn }
 
 // Unicast queues a data message for transmission to a radio neighbor in the
 // sender's next slot.
@@ -418,18 +354,45 @@ func (m *MAC) Start() {
 	m.engine.AddTicker(PrioMAC, m.RunFrame)
 }
 
-// RunFrame executes one complete TDMA frame. While membership is turbulent
-// (a kill, join or power flip within the last dead-threshold frames) every
-// registered live node, in slot order, beacons and flushes its queue, then
-// liveness tables are swept and death/new-neighbor notifications fire.
-// Otherwise only nodes with queued traffic are visited — beacons are
-// virtual and a silent frame short-circuits entirely.
+// RunFrame executes one TDMA frame: every live node with queued traffic
+// flushes it in its slot, in (slot, id) order, and then every neighbor
+// death that has gone deadThreshold frames unheard is declared. Beacons
+// carry no payload, so a node without traffic is not visited.
 func (m *MAC) RunFrame() {
-	if m.quiesce && m.frame >= m.turbulentUntil {
-		m.runQuietFrame()
-		return
+	if m.dirtyN > 0 {
+		m.tel.FramesQuiet.Inc()
+		m.flushDirty()
+	} else {
+		m.tel.FramesSilent.Inc()
 	}
-	m.runFullFrame()
+	if len(m.pending) > 0 {
+		m.declareDeaths()
+	}
+	m.frame++
+}
+
+// flushDirty visits the dirty frame positions in ascending order. A
+// delivery may dirty another node: ahead of the cursor it is served in
+// this frame, at or behind it in the next one.
+func (m *MAC) flushDirty() {
+	for w := 0; w < len(m.dirty) && m.dirtyN > 0; w++ {
+		var done uint64 // this word's positions at or behind the cursor
+		for {
+			set := m.dirty[w] &^ done
+			if set == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(set)
+			bit := uint64(1) << b
+			done |= bit<<1 - 1
+			m.dirty[w] &^= bit
+			m.dirtyN--
+			id := m.order[w<<6+b]
+			if st := &m.nodes[id]; len(st.queue) > 0 && m.channel.Alive(id) {
+				m.flush(id, st)
+			}
+		}
+	}
 }
 
 // flush transmits a node's queue as it stood at the start of its slot;
@@ -460,101 +423,32 @@ func (m *MAC) flush(id topology.NodeID, st *nodeState) {
 	st.spare = pending[:0]
 }
 
-// runQuietFrame is the steady-membership frame: visit only dirty nodes, in
-// the same (slot, id) order the full frame walks, and skip the beacon and
-// liveness machinery altogether.
-func (m *MAC) runQuietFrame() {
-	if len(m.dirtyNext) > 0 {
-		for _, pos := range m.dirtyNext {
-			m.dirtyPush(pos)
-		}
-		m.dirtyNext = m.dirtyNext[:0]
-	}
-	if len(m.dirtyHeap) > 0 {
-		m.tel.FramesQuiet.Inc()
-		m.inFrame = true
-		m.framePos = -1
-		for len(m.dirtyHeap) > 0 {
-			pos := m.dirtyPop()
-			m.framePos = pos
-			id := m.order[pos]
-			m.inDirty[id] = false
-			st := &m.nodes[id]
-			if !st.registered || !m.channel.Alive(id) || len(st.queue) == 0 {
-				continue // stale entry: killed, or already flushed by a full frame
-			}
-			m.flush(id, st)
-		}
-		m.inFrame = false
-	} else {
-		m.tel.FramesSilent.Inc()
-	}
-	m.stale = true
-	m.frame++
-}
-
-// runFullFrame is the original frame: beacon sweep, queue flush, liveness
-// sweep. It runs during turbulence windows and when quiescence is disabled.
-func (m *MAC) runFullFrame() {
-	m.tel.FramesFull.Inc()
-	m.materialize()
-	// Slot order is static (slots are assigned once), so the frame walks
-	// the precomputed (slot, id) order and filters liveness inline.
-	for _, id := range m.order {
-		st := &m.nodes[id]
-		if !st.registered || !m.channel.Alive(id) {
-			continue // never joined, or died earlier within this very frame
-		}
-		// Beacon: every live radio neighbor hears us (un-metered control).
-		// revEdge locates our entry in each receiver's table directly.
-		off := m.adjOff[id]
-		row := m.adjFlat[off:m.adjOff[id+1]]
-		for k, nb := range row {
-			if !m.channel.Alive(nb) || !m.nodes[nb].registered {
-				continue
-			}
-			w := m.revEdge[int(off)+k]
-			if m.lastHeard[w] == unheard && m.onNew != nil {
-				m.lastHeard[w] = m.frame
-				m.onNew(nb, id)
-			} else {
-				m.lastHeard[w] = m.frame
-			}
-		}
-		if len(st.queue) > 0 {
-			m.flush(id, st)
-		}
-	}
-
-	// Post-frame liveness sweep. Adjacency rows are sorted, so deaths are
-	// collected — and onDead notifications fire — in ascending neighbor
-	// order, which keeps same-frame tree surgery deterministic.
-	for i := range m.nodes {
-		st := &m.nodes[i]
-		if !st.registered || !m.channel.Alive(topology.NodeID(i)) {
+// declareDeaths walks the pending list in edge order, which is (holder,
+// dead neighbor) order, so same-frame tree surgery stays deterministic.
+// An entry whose stamp is deadThreshold frames old fires and marks the
+// neighbor unheard; one whose holder died, whose neighbor came back or
+// whose stamp is unheard is dropped, as no frame can declare it any more.
+// That also drops the duplicate a kill, rejoin and kill between two
+// frames leaves behind.
+func (m *MAC) declareDeaths() {
+	slices.SortFunc(m.pending, func(a, b deathWatch) int { return cmp.Compare(a.edge, b.edge) })
+	keep := m.pending[:0]
+	for _, dw := range m.pending {
+		dead := m.adjFlat[dw.edge]
+		last := m.lastHeard[dw.edge]
+		if !m.channel.Alive(dw.at) || m.channel.Alive(dead) || last == unheard {
 			continue
 		}
-		dead := m.deadScratch[:0]
-		deadPos := m.deadPosScratch[:0]
-		off := m.adjOff[i]
-		row := m.adjFlat[off:m.adjOff[i+1]]
-		for k, nb := range row {
-			last := m.lastHeard[int(off)+k]
-			if last != unheard && m.frame-last >= m.deadThreshold {
-				dead = append(dead, nb)
-				deadPos = append(deadPos, off+int32(k))
-			}
+		if m.frame-last < m.deadThreshold {
+			keep = append(keep, dw)
+			continue
 		}
-		for k, nb := range dead {
-			m.lastHeard[deadPos[k]] = unheard
-			if m.onDead != nil {
-				m.onDead(topology.NodeID(i), nb)
-			}
+		m.lastHeard[dw.edge] = unheard
+		if m.onDead != nil {
+			m.onDead(dw.at, dead)
 		}
-		m.deadScratch = dead[:0]
-		m.deadPosScratch = deadPos[:0]
 	}
-	m.frame++
+	m.pending = keep
 }
 
 // installListener wires the channel's receiver for a node to the MAC's
@@ -575,19 +469,19 @@ func (m *MAC) Kill(id topology.NodeID) {
 	}
 	m.channel.SetAlive(id, false)
 	m.nodes[id].queue = nil
-	m.nodes[id].registered = false
 }
 
 // Join powers on a (previously dead or never-started) node. Its slot was
-// pre-assigned by the global schedule; its neighbors will fire
-// OnNeighborNew when they first hear its beacon.
+// pre-assigned by the global schedule; it learns its live neighbors at
+// once, and they hear its beacon from the next frame on.
 func (m *MAC) Join(id topology.NodeID) {
-	m.channel.SetAlive(id, true)
-	// Announce even when the power flag did not flip (a node that was
-	// powered but never registered): the join must still leave the quiet
-	// path so neighbors hear the first beacon.
-	m.onAliveChange(id, true)
-	m.register(id)
+	if m.channel.Alive(id) {
+		// No power flip, so the channel stays quiet; the join still
+		// re-primes the node's table.
+		m.onAliveChange(id, true)
+	} else {
+		m.channel.SetAlive(id, true)
+	}
 	m.installListener(id)
 }
 

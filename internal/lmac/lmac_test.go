@@ -202,7 +202,11 @@ func TestKillRootPanics(t *testing.T) {
 	m.Kill(topology.Root)
 }
 
-func TestJoinFiresOnNeighborNew(t *testing.T) {
+// TestJoinPrimesNeighborTables deploys a node that was dead at
+// construction: its table lists its live neighbor at once, the neighbor's
+// table lists it from the first frame it beacons in, and its traffic is
+// delivered.
+func TestJoinPrimesNeighborTables(t *testing.T) {
 	g, err := topology.PlaceLine(3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -215,52 +219,55 @@ func TestJoinFiresOnNeighborNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Init()
-	var fresh []topology.NodeID
-	m.OnNeighborNew(func(at, f topology.NodeID) {
-		if at == 1 {
-			fresh = append(fresh, f)
-		}
-	})
 	m.RunFrame()
-	if len(fresh) != 0 {
-		t.Fatalf("unexpected new-neighbor events: %v", fresh)
+	if nbs := m.neighbors(1); len(nbs) != 1 || nbs[0] != 0 {
+		t.Fatalf("node 1 neighbors before the join = %v, want [0]", nbs)
 	}
 	m.Join(2)
-	m.RunFrame()
-	if len(fresh) != 1 || fresh[0] != 2 {
-		t.Fatalf("new-neighbor events %v, want [2] at node 1", fresh)
-	}
-	// Node 2's MAC neighbor table should see node 1.
-	nbs := m.neighbors(2)
-	if len(nbs) != 1 || nbs[0] != 1 {
+	if nbs := m.neighbors(2); len(nbs) != 1 || nbs[0] != 1 {
 		t.Fatalf("joined node neighbors = %v, want [1]", nbs)
+	}
+	var got any
+	m.Listen(1, func(_ topology.NodeID, msg any) { got = msg })
+	m.Unicast(2, 1, radio.ClassUpdate, "hello")
+	m.RunFrame()
+	if nbs := m.neighbors(1); len(nbs) != 2 || nbs[1] != 2 {
+		t.Fatalf("node 1 neighbors after the join = %v, want [0 2]", nbs)
+	}
+	if got != "hello" {
+		t.Fatalf("joined node's unicast delivered %v, want hello", got)
 	}
 }
 
+// TestRejoinAfterDeathDetectedAgain kills a node, lets its neighbor
+// declare the death, rejoins it and kills it again: the second death is
+// declared too, deadThreshold frames after the second kill.
 func TestRejoinAfterDeathDetectedAgain(t *testing.T) {
 	_, _, m := lineNet(t, 2)
-	deaths, news := 0, 0
+	var deathFrames []int64
 	m.OnNeighborDead(func(at, dead topology.NodeID) {
 		if at == 0 && dead == 1 {
-			deaths++
-		}
-	})
-	m.OnNeighborNew(func(at, fresh topology.NodeID) {
-		if at == 0 && fresh == 1 {
-			news++
+			deathFrames = append(deathFrames, m.Frame())
 		}
 	})
 	m.Kill(1)
 	for i := 0; i < 6; i++ {
 		m.RunFrame()
 	}
-	if deaths != 1 {
-		t.Fatalf("deaths = %d, want 1", deaths)
+	if len(deathFrames) != 1 {
+		t.Fatalf("deaths = %v, want 1", deathFrames)
 	}
 	m.Join(1)
 	m.RunFrame()
-	if news != 1 {
-		t.Fatalf("news = %d, want 1 after rejoin", news)
+	if nbs := m.neighbors(0); len(nbs) != 1 || nbs[0] != 1 {
+		t.Fatalf("node 0 neighbors after the rejoin = %v, want [1]", nbs)
+	}
+	m.Kill(1) // after frame 6, which node 0 heard node 1 in
+	for i := 0; i < 6; i++ {
+		m.RunFrame()
+	}
+	if want := []int64{3, 6 + DefaultDeadThreshold}; len(deathFrames) != 2 || deathFrames[0] != want[0] || deathFrames[1] != want[1] {
+		t.Fatalf("deaths in frames %v, want %v", deathFrames, want)
 	}
 }
 
@@ -433,14 +440,13 @@ func verifySlots(g *topology.Graph, slots []int) error {
 	return nil
 }
 
-// neighbors returns the sorted live-neighbor view of a node's MAC table.
+// neighbors returns the sorted neighbor view of a node's MAC table.
 func (m *MAC) neighbors(id topology.NodeID) []topology.NodeID {
-	m.materialize()
 	off := m.adjOff[id]
 	row := m.adjFlat[off:m.adjOff[id+1]]
 	out := make([]topology.NodeID, 0, len(row))
 	for k, nb := range row { // row is sorted, so out is too
-		if m.lastHeard[int(off)+k] != unheard {
+		if m.heard(off+int32(k), id, nb) != unheard {
 			out = append(out, nb)
 		}
 	}

@@ -185,8 +185,8 @@ func (ch *Channel) SetAlive(id topology.NodeID, alive bool) {
 		return
 	}
 	if ch.aliveChange != nil {
-		// Notify before mutating: the MAC snapshots its virtualized
-		// liveness bookkeeping against the pre-change power state.
+		// Notify before mutating: the MAC stores the liveness stamps of
+		// the node's live pairs against the pre-change power state.
 		ch.aliveChange(id, alive)
 	}
 	ch.alive[id] = alive
@@ -199,7 +199,7 @@ func (ch *Channel) AliveVersion() uint64 { return ch.aliveVer }
 
 // OnAliveChange registers a hook invoked whenever a node's power state is
 // about to flip (the flag still holds the old value during the call). The
-// MAC uses it to leave its quiescent fast path around membership changes.
+// MAC uses it to start and stop neighbor-death deadlines.
 func (ch *Channel) OnAliveChange(fn func(id topology.NodeID, alive bool)) {
 	ch.aliveChange = fn
 }

@@ -95,11 +95,10 @@ type Config struct {
 	PredictiveSampling bool
 
 	// DisableActivityGating forces the naive epoch loop: every node
-	// evaluates every mounted sensor every epoch and the MAC walks every
-	// frame in full. Gated and naive runs are byte-identical by
-	// construction (guarded by gated_test.go); the knob exists so the
-	// equivalence is testable and so the scale benchmarks can record the
-	// ungated cost for comparison.
+	// evaluates every mounted sensor every epoch. Gated and naive runs
+	// are byte-identical by construction (guarded by gated_test.go); the
+	// knob exists so the equivalence is testable and so the scale
+	// benchmarks can record the ungated cost for comparison.
 	DisableActivityGating bool
 
 	// EnergyCapacity, when positive, attaches a battery of that many units
@@ -215,19 +214,20 @@ func (c Config) Validate() error {
 	if c.EpochsPerHour < 1 {
 		return fmt.Errorf("scenario: EpochsPerHour %d < 1", c.EpochsPerHour)
 	}
-	if c.Coverage <= 0 || c.Coverage > 1 {
+	// Range checks are written so that NaN fails them.
+	if !(c.Coverage > 0 && c.Coverage <= 1) {
 		return fmt.Errorf("scenario: Coverage %v outside (0,1]", c.Coverage)
 	}
-	if c.Mode == FixedDelta && c.FixedPct < 0 {
-		return fmt.Errorf("scenario: negative FixedPct %v", c.FixedPct)
+	if c.Mode == FixedDelta && !(c.FixedPct >= 0) {
+		return fmt.Errorf("scenario: FixedPct %v is negative or NaN", c.FixedPct)
 	}
-	if c.Mode == ATC && (c.Rho <= 0 || c.Rho > 1) {
+	if c.Mode == ATC && !(c.Rho > 0 && c.Rho <= 1) {
 		return fmt.Errorf("scenario: Rho %v outside (0,1]", c.Rho)
 	}
 	if c.BucketEpochs < 1 {
 		return fmt.Errorf("scenario: BucketEpochs %d < 1", c.BucketEpochs)
 	}
-	if c.PacketLoss < 0 || c.PacketLoss >= 1 {
+	if !(c.PacketLoss >= 0 && c.PacketLoss < 1) {
 		return fmt.Errorf("scenario: PacketLoss %v outside [0,1)", c.PacketLoss)
 	}
 	if c.Script != nil && !c.DisableWorkload {
@@ -356,9 +356,6 @@ func Build(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DisableActivityGating {
-		mac.SetQuiescence(false)
-	}
 
 	pos := make([]topology.Position, g.Len())
 	for i := range pos {
@@ -394,7 +391,6 @@ func Build(cfg Config) (*Runner, error) {
 			Drops: reg.Counter("dirq_radio_drops_total", "Receptions lost to the Bernoulli loss process."),
 		})
 		mac.SetTelemetry(lmac.Telemetry{
-			FramesFull:      reg.Counter("dirq_lmac_frames_total", "TDMA frames by kind.", telemetry.Label{Key: "kind", Value: "full"}),
 			FramesQuiet:     reg.Counter("dirq_lmac_frames_total", "TDMA frames by kind.", telemetry.Label{Key: "kind", Value: "quiet"}),
 			FramesSilent:    reg.Counter("dirq_lmac_frames_total", "TDMA frames by kind.", telemetry.Label{Key: "kind", Value: "silent"}),
 			MessagesFlushed: reg.Counter("dirq_lmac_messages_flushed_total", "Queued data messages handed to the channel."),

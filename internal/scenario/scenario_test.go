@@ -33,6 +33,10 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Mode = ATC; c.Rho = 0 },
 		func(c *Config) { c.BucketEpochs = 0 },
 		func(c *Config) { c.PacketLoss = 1 },
+		func(c *Config) { c.Mode = FixedDelta; c.FixedPct = math.NaN() },
+		func(c *Config) { c.Coverage = math.NaN() },
+		func(c *Config) { c.Mode = ATC; c.Rho = math.NaN() },
+		func(c *Config) { c.PacketLoss = math.NaN() },
 	}
 	for i, mutate := range cases {
 		c := small()
@@ -40,6 +44,13 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
+	}
+	// An infinite δ is the flooding baseline's limit (it uses 1e9) and
+	// stays legal.
+	inf := small()
+	inf.Mode, inf.FixedPct = FixedDelta, math.Inf(1)
+	if err := inf.Validate(); err != nil {
+		t.Fatalf("FixedPct +Inf rejected: %v", err)
 	}
 }
 

@@ -123,11 +123,14 @@ func TestTelemetryCounts(t *testing.T) {
 		t.Errorf("active-set histogram observed %d epochs, want %d",
 			count("dirq_core_active_set_size"), cfg.Epochs+1)
 	}
-	full := count("dirq_lmac_frames_total:full")
+	// One frame per executed epoch, each either quiet or silent.
 	quiet := count("dirq_lmac_frames_total:quiet")
 	silent := count("dirq_lmac_frames_total:silent")
-	if full+quiet+silent <= 0 {
-		t.Errorf("no LMAC frames counted (full=%d quiet=%d silent=%d)", full, quiet, silent)
+	if quiet+silent != int64(cfg.Epochs)+1 {
+		t.Errorf("LMAC frames quiet=%d + silent=%d, want %d", quiet, silent, cfg.Epochs+1)
+	}
+	if _, ok := vals["dirq_lmac_frames_total:full"]; ok {
+		t.Error(`dirq_lmac_frames_total{kind="full"} is registered, but the MAC has one frame path`)
 	}
 	if sent := count("dirq_core_tuples_sent_total"); sent <= 0 {
 		t.Errorf("dirq_core_tuples_sent_total = %d, want > 0", sent)

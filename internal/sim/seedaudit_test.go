@@ -144,7 +144,6 @@ var testOnlyExportAllowlist = map[string]string{
 	"experiments.Fig6Result.SteadyStateMeans": "fixture: Fig. 6 readings shared by the experiments and root benchmark tests",
 	"lmac.MAC.Broadcast":                      "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.Frame":                          "facade-reachable: dirq.Runner.MAC",
-	"lmac.MAC.OnNeighborNew":                  "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.QueueLen":                       "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.SetDeadThreshold":               "facade-reachable: dirq.Runner.MAC",
 	"lmac.MAC.Slot":                           "facade-reachable: dirq.Runner.MAC",
