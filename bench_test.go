@@ -336,14 +336,10 @@ func BenchmarkScenarioEpoch(b *testing.B) {
 }
 
 func BenchmarkMetricsEval(b *testing.B) {
-	rec := &core.QueryRecord{
-		Truth:    query.GroundTruth{Should: map[topology.NodeID]bool{}},
-		Received: map[topology.NodeID]bool{},
-		Sources:  map[topology.NodeID]bool{},
-	}
+	rec := &core.QueryRecord{}
 	for i := 1; i < 30; i++ {
-		rec.Truth.Should[topology.NodeID(i)] = true
-		rec.Received[topology.NodeID(i+5)] = true
+		rec.Truth.Should.Add(topology.NodeID(i))
+		rec.Received.Add(topology.NodeID(i + 5))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

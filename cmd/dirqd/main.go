@@ -78,13 +78,14 @@ const (
 )
 
 // newServer builds the HTTP server for handler on addr with the
-// connection bounds above.
-func newServer(addr string, handler http.Handler) *http.Server {
+// connection bounds above, except that a whole request must arrive
+// within read; main passes readTimeout.
+func newServer(addr string, handler http.Handler, read time.Duration) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
+		ReadTimeout:       read,
 		IdleTimeout:       idleTimeout,
 	}
 }
@@ -173,7 +174,7 @@ func main() {
 	}
 
 	handler := serve.NewHandler(mgr, serve.ServerInfo{Version: version, Now: time.Now})
-	srv := newServer(*addr, handler)
+	srv := newServer(*addr, handler, readTimeout)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("%s: %d shard(s) of %d nodes (mode %s), serving on %s (metrics at /metrics)",

@@ -61,7 +61,7 @@ func main() {
 		rec := r.Proto.InjectGeoQuery(q, rect, truth)
 		r.Engine.RunUntil(r.Engine.Now() + 25)
 		cost := r.Meter.ByClass(radio.ClassQuery).Total() - before
-		fmt.Printf("%-22s %-9d %-9d %-10d\n", rect, len(rec.Sources), len(rec.Received), cost)
+		fmt.Printf("%-22s %-9d %-9d %-10d\n", rect, rec.Sources.Len(), rec.Received.Len(), cost)
 	}
 
 	// The same match-all query without a location constraint.
@@ -71,7 +71,7 @@ func main() {
 	rec := r.Proto.InjectQuery(q, truth)
 	r.Engine.RunUntil(r.Engine.Now() + 25)
 	cost := r.Meter.ByClass(radio.ClassQuery).Total() - before
-	fmt.Printf("%-22s %-9d %-9d %-10d\n", "whole field (no geo)", len(rec.Sources), len(rec.Received), cost)
+	fmt.Printf("%-22s %-9d %-9d %-10d\n", "whole field (no geo)", rec.Sources.Len(), rec.Received.Len(), cost)
 
 	fmt.Println()
 	fmt.Println("each quadrant query prunes the other quadrants' subtrees spatially,")

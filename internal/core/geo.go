@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/query"
 	"repro/internal/radio"
 	"repro/internal/topology"
@@ -52,18 +54,12 @@ func (n *Node) RouteGeoQuery(m GeoQueryMsg, answer bool) {
 			}
 		}
 	}
-	var targets []topology.NodeID
-	for _, c := range rt.Children() {
-		t, ok := rt.Child(c)
-		if !ok || !t.Intersects(m.Q.Lo, m.Q.Hi) {
-			continue
-		}
-		if n.geo != nil {
-			if box, ok := n.geo.SubtreeBox(c); ok && !box.Intersects(m.Rect) {
-				continue
-			}
-		}
-		targets = append(targets, c)
+	targets := rt.AppendIntersecting(nil, m.Q.Lo, m.Q.Hi)
+	if n.geo != nil {
+		targets = slices.DeleteFunc(targets, func(c topology.NodeID) bool {
+			box, ok := n.geo.SubtreeBox(c)
+			return ok && !box.Intersects(m.Rect)
+		})
 	}
 	if len(targets) > 0 {
 		n.transport.Multicast(n.id, targets, radio.ClassQuery, m)
@@ -82,14 +78,7 @@ func (p *Protocol) SetGeo(g GeoResolver) {
 func (p *Protocol) InjectGeoQuery(q query.Query, rect topology.Rect,
 	truth query.GroundTruth) *QueryRecord {
 
-	r := &QueryRecord{
-		Query: q, Truth: truth, InjectedAt: p.engine.Now(),
-		Received: map[topology.NodeID]bool{},
-		Sources:  map[topology.NodeID]bool{},
-	}
-	p.records[q.ID] = r
-	p.order = append(p.order, q.ID)
-	p.predictor.Observe()
+	r := p.register(q, truth)
 	p.nodes[p.tree.Root()].RouteGeoQuery(GeoQueryMsg{Q: q, Rect: rect}, false)
 	return r
 }

@@ -34,11 +34,11 @@ func TestGeoRoutingPrunesBySubtreeBox(t *testing.T) {
 
 	// Every in-rect node must answer; no node outside may answer.
 	for _, src := range truth.Sources {
-		if !rec.Sources[src] {
+		if !rec.Sources.Has(src) {
 			t.Fatalf("in-rect node %d did not answer", src)
 		}
 	}
-	for id := range rec.Sources {
+	for _, id := range rec.Sources.IDs() {
 		if !rect.Contains(pos(id)) {
 			t.Fatalf("node %d outside the rectangle answered", id)
 		}
@@ -49,9 +49,9 @@ func TestGeoRoutingPrunesBySubtreeBox(t *testing.T) {
 	truth2 := query.Resolve(q2, tn.tree, tn.mounted, val)
 	rec2 := tn.proto.InjectQuery(q2, truth2)
 	tn.run(180)
-	if len(rec.Received) >= len(rec2.Received) {
+	if rec.Received.Len() >= rec2.Received.Len() {
 		t.Fatalf("geo query reached %d nodes, plain match-all reached %d: no spatial pruning",
-			len(rec.Received), len(rec2.Received))
+			rec.Received.Len(), rec2.Received.Len())
 	}
 }
 
@@ -103,7 +103,7 @@ func TestGeoQueryWithoutResolverFallsBack(t *testing.T) {
 	tn.run(120)
 	// Fallback: everyone with a matching value still receives (no geo
 	// knowledge, so no spatial pruning and no spatial source filter).
-	if len(rec.Received) == 0 {
+	if rec.Received.Len() == 0 {
 		t.Fatal("fallback routing delivered nothing")
 	}
 }

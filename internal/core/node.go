@@ -377,12 +377,7 @@ func (n *Node) routeQuery(m QueryMsg, boxed any, answer bool) {
 			n.emit(TraceEvent{Kind: TraceQuerySource, Node: n.id, Peer: -1, QueryID: m.Q.ID})
 		}
 	}
-	targets := n.targetScratch[:0]
-	for _, c := range rt.Children() {
-		if t, ok := rt.Child(c); ok && t.Intersects(m.Q.Lo, m.Q.Hi) {
-			targets = append(targets, c)
-		}
-	}
+	targets := rt.AppendIntersecting(n.targetScratch[:0], m.Q.Lo, m.Q.Hi)
 	n.targetScratch = targets
 	if len(targets) > 0 {
 		n.transport.Multicast(n.id, targets, radio.ClassQuery, boxed)

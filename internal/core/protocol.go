@@ -83,8 +83,8 @@ type QueryRecord struct {
 	Query      query.Query
 	Truth      query.GroundTruth
 	InjectedAt sim.Time
-	Received   map[topology.NodeID]bool
-	Sources    map[topology.NodeID]bool
+	Received   query.NodeSet
+	Sources    query.NodeSet
 }
 
 // Protocol runs DirQ over a network: it owns the per-node state machines,
@@ -230,14 +230,14 @@ func (p *Protocol) Orphans() []topology.NodeID {
 // QueryReceived implements QueryObserver.
 func (p *Protocol) QueryReceived(id topology.NodeID, queryID int64) {
 	if r, ok := p.records[queryID]; ok {
-		r.Received[id] = true
+		r.Received.Add(id)
 	}
 }
 
 // QuerySource implements QueryObserver.
 func (p *Protocol) QuerySource(id topology.NodeID, queryID int64) {
 	if r, ok := p.records[queryID]; ok {
-		r.Sources[id] = true
+		r.Sources.Add(id)
 	}
 }
 
@@ -451,15 +451,22 @@ func (p *Protocol) EstimatesEmitted() []EstimateMsg {
 // its ground truth for accuracy accounting. The returned record fills in as
 // the query propagates (one tree level per TDMA opportunity).
 func (p *Protocol) InjectQuery(q query.Query, truth query.GroundTruth) *QueryRecord {
+	r := p.register(q, truth)
+	p.nodes[p.tree.Root()].RouteQuery(QueryMsg{Q: q}, false)
+	return r
+}
+
+// register opens the record of a query injected now and counts it for
+// the predictor.
+func (p *Protocol) register(q query.Query, truth query.GroundTruth) *QueryRecord {
 	r := &QueryRecord{
 		Query: q, Truth: truth, InjectedAt: p.engine.Now(),
-		Received: map[topology.NodeID]bool{},
-		Sources:  map[topology.NodeID]bool{},
+		Received: query.NewNodeSet(len(p.nodes)),
+		Sources:  query.NewNodeSet(len(p.nodes)),
 	}
 	p.records[q.ID] = r
 	p.order = append(p.order, q.ID)
 	p.predictor.Observe()
-	p.nodes[p.tree.Root()].RouteQuery(QueryMsg{Q: q}, false)
 	return r
 }
 

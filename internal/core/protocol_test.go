@@ -165,16 +165,16 @@ func TestQueryReachesMatchingSources(t *testing.T) {
 	rec := tn.proto.InjectQuery(q, truth)
 	tn.run(80) // let it propagate
 
-	if !rec.Sources[5] {
+	if !rec.Sources.Has(5) {
 		t.Fatalf("node 5 (value %v in [%v,%v]) not a source; sources=%v",
-			centre, q.Lo, q.Hi, rec.Sources)
+			centre, q.Lo, q.Hi, rec.Sources.IDs())
 	}
 	// Every ground-truth source whose stored tuple is fresh enough should
 	// have received the query; with δ=3% staleness is bounded, so at least
 	// half the true sources must be reached.
 	reached := 0
 	for _, s := range truth.Sources {
-		if rec.Received[s] {
+		if rec.Received.Has(s) {
 			reached++
 		}
 	}
@@ -207,19 +207,19 @@ func TestQueryWithZeroDeltaPerfectlyAccurate(t *testing.T) {
 	rec := tn.proto.InjectQuery(q, truth)
 	tn.run(100)
 
-	for id := range truth.Should {
-		if !rec.Received[id] {
+	for _, id := range truth.Should.IDs() {
+		if !rec.Received.Has(id) {
 			t.Fatalf("δ=0 frozen data: node %d should receive but did not", id)
 		}
 	}
-	for id := range rec.Received {
-		if !truth.Should[id] {
+	for _, id := range rec.Received.IDs() {
+		if !truth.Should.Has(id) {
 			t.Fatalf("δ=0 frozen data: node %d received but should not", id)
 		}
 	}
 	// Sources must match exactly.
 	for _, s := range truth.Sources {
-		if !rec.Sources[s] {
+		if !rec.Sources.Has(s) {
 			t.Fatalf("true source %d did not answer", s)
 		}
 	}
@@ -343,12 +343,12 @@ func TestQueriesStillAccurateAfterDeath(t *testing.T) {
 	rec := tn.proto.InjectQuery(q, truth)
 	tn.run(140)
 
-	if rec.Received[leaf] {
+	if rec.Received.Has(leaf) {
 		t.Fatal("dead node received a query")
 	}
 	missing := 0
-	for id := range truth.Should {
-		if !rec.Received[id] {
+	for _, id := range truth.Should.IDs() {
+		if !rec.Received.Has(id) {
 			missing++
 		}
 	}

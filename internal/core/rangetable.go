@@ -111,6 +111,17 @@ func (rt *RangeTable) Children() []topology.NodeID {
 	return rt.childIDs
 }
 
+// AppendIntersecting appends to dst, in ascending order, the children
+// whose stored tuples intersect [lo, hi], and returns the extended slice.
+func (rt *RangeTable) AppendIntersecting(dst []topology.NodeID, lo, hi float64) []topology.NodeID {
+	for i, t := range rt.children {
+		if t.Intersects(lo, hi) {
+			dst = append(dst, rt.childIDs[i])
+		}
+	}
+	return dst
+}
+
 // Len returns the number of rows (own entry plus child entries) — the n+1
 // of §4.1.
 func (rt *RangeTable) Len() int {

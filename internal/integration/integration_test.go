@@ -200,7 +200,7 @@ func TestHeterogeneousTypesRouteOnlyWhereMounted(t *testing.T) {
 		rec := r.Proto.InjectQuery(q, truth)
 		r.Engine.RunUntil(r.Engine.Now() + 30)
 		for _, src := range truth.Sources {
-			if !rec.Received[src] {
+			if !rec.Received.Has(src) {
 				t.Fatalf("type %v: mounted node %d missed a match-all query", ty, src)
 			}
 		}

@@ -39,19 +39,11 @@ type Accuracy struct {
 func Eval(rec *core.QueryRecord, n int) Accuracy {
 	a := Accuracy{
 		QueryID:     rec.Query.ID,
-		NumShould:   len(rec.Truth.Should),
-		NumReceived: len(rec.Received),
+		NumShould:   rec.Truth.Should.Len(),
+		NumReceived: rec.Received.Len(),
 		NumSources:  len(rec.Truth.Sources),
-	}
-	for id := range rec.Received {
-		if !rec.Truth.Should[id] {
-			a.NumWrong++
-		}
-	}
-	for id := range rec.Truth.Should {
-		if !rec.Received[id] {
-			a.NumMissed++
-		}
+		NumWrong:    rec.Received.CountNotIn(rec.Truth.Should),
+		NumMissed:   rec.Truth.Should.CountNotIn(rec.Received),
 	}
 	a.OvershootPct = Pct(a.NumWrong, n)
 	switch {

@@ -6,23 +6,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 func record(should, received, sources []topology.NodeID) *core.QueryRecord {
-	r := &core.QueryRecord{
-		Truth:    query.GroundTruth{Should: map[topology.NodeID]bool{}},
-		Received: map[topology.NodeID]bool{},
-		Sources:  map[topology.NodeID]bool{},
-	}
+	r := &core.QueryRecord{Truth: query.GroundTruth{Sources: sources}}
 	for _, id := range should {
-		r.Truth.Should[id] = true
-	}
-	for _, id := range sources {
-		r.Truth.Sources = append(r.Truth.Sources, id)
+		r.Truth.Should.Add(id)
 	}
 	for _, id := range received {
-		r.Received[id] = true
+		r.Received.Add(id)
 	}
 	return r
 }
@@ -215,5 +209,53 @@ func TestQuantileInterpolation(t *testing.T) {
 	s := Describe([]float64{0, 10})
 	if s.P25 != 2.5 || s.Median != 5 || s.P75 != 7.5 {
 		t.Fatalf("quantiles %+v", s)
+	}
+}
+
+// evalReference is Eval's counting over plain map sets, as Eval once
+// computed it: every member of one set looked up in the other.
+func evalReference(should, received map[topology.NodeID]bool) (wrong, missed int) {
+	for id := range received {
+		if !should[id] {
+			wrong++
+		}
+	}
+	for id := range should {
+		if !received[id] {
+			missed++
+		}
+	}
+	return wrong, missed
+}
+
+// TestEvalMatchesMapReference draws random should and received sets of
+// random sizes and densities, across word boundaries, and holds Eval's
+// counts to the map-based reference.
+func TestEvalMatchesMapReference(t *testing.T) {
+	rng := sim.NewRNG(31)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		pShould, pReceived := rng.Float64(), rng.Float64()
+		should, received := map[topology.NodeID]bool{}, map[topology.NodeID]bool{}
+		var shouldIDs, receivedIDs []topology.NodeID
+		for i := 1; i < n; i++ {
+			id := topology.NodeID(i)
+			if rng.Bool(pShould) {
+				should[id] = true
+				shouldIDs = append(shouldIDs, id)
+			}
+			if rng.Bool(pReceived) {
+				received[id] = true
+				receivedIDs = append(receivedIDs, id)
+			}
+		}
+		a := Eval(record(shouldIDs, receivedIDs, nil), n)
+		wrong, missed := evalReference(should, received)
+		if a.NumShould != len(should) || a.NumReceived != len(received) ||
+			a.NumWrong != wrong || a.NumMissed != missed {
+			t.Fatalf("trial %d (n %d): got should %d received %d wrong %d missed %d, want %d %d %d %d",
+				trial, n, a.NumShould, a.NumReceived, a.NumWrong, a.NumMissed,
+				len(should), len(received), wrong, missed)
+		}
 	}
 }

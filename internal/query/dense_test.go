@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -59,7 +58,7 @@ func (w *closureWorkload) Next(gen *sensordata.Generator, tree *topology.Tree,
 	for iter := 0; iter < 24; iter++ {
 		mid := (loW + hiW) / 2
 		cand := Query{ID: q.ID, Type: qt, Lo: centre - mid, Hi: centre + mid}
-		involved := w.involvedCount(cand, tree, mounted, value)
+		involved := w.count(cand, tree, mounted, value)
 		frac := 0.0
 		if n > 1 {
 			frac = float64(involved) / float64(n-1)
@@ -77,7 +76,7 @@ func (w *closureWorkload) Next(gen *sensordata.Generator, tree *topology.Tree,
 	return best, Resolve(best, tree, mounted, value)
 }
 
-func (w *closureWorkload) involvedCount(q Query, tree *topology.Tree,
+func (w *closureWorkload) count(q Query, tree *topology.Tree,
 	mounted []sensordata.TypeSet, value func(topology.NodeID) float64) int {
 
 	n := len(mounted)
@@ -169,9 +168,9 @@ func checkNextAgainstClosure(t *testing.T, n int, seed uint64) {
 			if gotQ != wantQ {
 				t.Fatalf("target %v query %d: got %v, want %v", target, k, gotQ, wantQ)
 			}
-			if !slices.Equal(gotGT.Sources, wantGT.Sources) || !maps.Equal(gotGT.Should, wantGT.Should) {
+			if !slices.Equal(gotGT.Sources, wantGT.Sources) || !slices.Equal(gotGT.Should.IDs(), wantGT.Should.IDs()) {
 				t.Fatalf("target %v query %d: ground truth differs (%d/%d sources, %d/%d should)",
-					target, k, len(gotGT.Sources), len(wantGT.Sources), len(gotGT.Should), len(wantGT.Should))
+					target, k, len(gotGT.Sources), len(wantGT.Sources), gotGT.Should.Len(), wantGT.Should.Len())
 			}
 			if got, want := newGen.Evals(), oldGen.Evals(); got != want {
 				t.Fatalf("target %v query %d: %d field evaluations, want %d", target, k, got, want)
@@ -179,6 +178,80 @@ func checkNextAgainstClosure(t *testing.T, n int, seed uint64) {
 			for e := 0; e < 3; e++ {
 				oldGen.Step()
 				newGen.Step()
+			}
+		}
+	}
+}
+
+// TestInvolvedMatchesResolve holds the width search's flat count to the
+// size of Resolve's Should set, window by window: for centres on every
+// kind of reading and half-widths from 0 to twice the span, on random
+// trees with detached subtrees, whose readings include values clamped to
+// the span's ends (so many tie) and NaN.
+func TestInvolvedMatchesResolve(t *testing.T) {
+	for _, n := range []int{2, 3, 50, 700} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("n%d/seed%d", n, seed), func(t *testing.T) {
+				checkInvolved(t, n, seed)
+			})
+		}
+	}
+}
+
+func checkInvolved(t *testing.T, n int, seed uint64) {
+	rng := sim.NewRNG(seed)
+	tr := topology.NewTree(topology.Root)
+	for i := 1; i < n; i++ {
+		if err := tr.Attach(topology.NodeID(rng.Intn(i)), topology.NodeID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cut := 0; cut < 2 && tr.Len() > 2; cut++ {
+		nodes := tr.Nodes()
+		if _, err := tr.Detach(nodes[1+rng.Intn(len(nodes)-1)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ty := sensordata.Temperature
+	lo, hi := ty.Span()
+	span := ty.SpanWidth()
+	mounted := sensordata.AssignTypes(n, 0.5, rng.Stream("types"))
+	read := make([]float64, n)
+	for i := range read {
+		switch u := rng.Float64(); {
+		case u < 0.1:
+			read[i] = lo
+		case u < 0.2:
+			read[i] = hi
+		case u < 0.3:
+			read[i] = math.NaN()
+		default:
+			read[i] = rng.Range(lo, hi)
+		}
+	}
+	value := func(id topology.NodeID) float64 { return read[id] }
+
+	w := &Workload{}
+	for i := range mounted {
+		id := topology.NodeID(i)
+		if id != tr.Root() && mounted[i].Has(ty) && tr.Contains(id) {
+			w.cand = append(w.cand, id)
+			w.vals = append(w.vals, read[id])
+		}
+	}
+	centres := append([]float64{math.NaN(), lo, hi, (lo + hi) / 2}, w.vals...)
+	for _, c := range centres {
+		w.bracket(tr, n, c)
+		mids := []float64{0, span, 2 * span}
+		for k := 1; k <= 24; k++ {
+			mids = append(mids, span/float64(uint64(1)<<k), rng.Range(0, span))
+		}
+		for _, mid := range mids {
+			q := Query{Type: ty, Lo: c - mid, Hi: c + mid}
+			want := Resolve(q, tr, mounted, value).Should.Len()
+			if got := w.involved(q.Lo, q.Hi); got != want {
+				t.Fatalf("centre %v, window [%v, %v]: involved %d, Resolve's Should has %d",
+					c, q.Lo, q.Hi, got, want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sensordata"
 	"repro/internal/sim"
@@ -32,7 +33,7 @@ func (q Query) String() string {
 // injector, is in neither set.
 type GroundTruth struct {
 	Sources []topology.NodeID
-	Should  map[topology.NodeID]bool
+	Should  NodeSet
 }
 
 // InvolvedFraction returns |Should| / (N-1): the fraction of non-root nodes
@@ -42,7 +43,7 @@ func (gt GroundTruth) InvolvedFraction(n int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	return float64(len(gt.Should)) / float64(n-1)
+	return float64(gt.Should.Len()) / float64(n-1)
 }
 
 // Resolve computes the ground truth of q over the current data. mounted
@@ -51,32 +52,42 @@ func (gt GroundTruth) InvolvedFraction(n int) float64 {
 func Resolve(q Query, tree *topology.Tree, mounted []sensordata.TypeSet,
 	value func(topology.NodeID) float64) GroundTruth {
 
-	gt := GroundTruth{Should: map[topology.NodeID]bool{}}
+	return resolve(q, tree, mounted, value, nil)
+}
+
+// resolve is Resolve over the nodes that also pass in (all nodes when in
+// is nil); in is asked before value.
+func resolve(q Query, tree *topology.Tree, mounted []sensordata.TypeSet,
+	value func(topology.NodeID) float64, in func(topology.NodeID) bool) GroundTruth {
+
+	gt := GroundTruth{Should: NewNodeSet(len(mounted))}
 	root := tree.Root()
 	for i := range mounted {
 		id := topology.NodeID(i)
 		if id == root || !mounted[i].Has(q.Type) || !tree.Contains(id) {
 			continue
 		}
-		if q.Matches(value(id)) {
+		if (in == nil || in(id)) && q.Matches(value(id)) {
 			gt.Sources = append(gt.Sources, id)
-			// Walk the path to the root in place. Once a hop is already
-			// marked, so are all of its ancestors (paths to the root share
-			// their suffix), so the walk can stop early.
-			for hop := id; hop != root; {
-				if gt.Should[hop] {
-					break
-				}
-				gt.Should[hop] = true
-				p, ok := tree.Parent(hop)
-				if !ok {
-					break
-				}
-				hop = p
-			}
+			addPath(&gt.Should, tree, id)
 		}
 	}
 	return gt
+}
+
+// addPath adds id and its ancestors below the root to set. Paths to the
+// root share their suffix, so the walk stops at the first hop already in
+// the set: its ancestors are too.
+func addPath(set *NodeSet, tree *topology.Tree, id topology.NodeID) {
+	root := tree.Root()
+	for hop := id; hop != root && !set.Has(hop); {
+		set.Add(hop)
+		p, ok := tree.Parent(hop)
+		if !ok {
+			break
+		}
+		hop = p
+	}
 }
 
 // Workload generates random range queries whose ground-truth involvement is
@@ -91,13 +102,12 @@ type Workload struct {
 	typeSeq int
 
 	// Reusable scratch for Next: candidate centre nodes, their readings
-	// (parallel to cand), and an epoch-stamped visited marker so the width
-	// search can count involvement without building a GroundTruth per
-	// probe.
-	cand  []topology.NodeID
-	vals  []float64
-	stamp []int32
-	pass  int32
+	// (parallel to cand), the tree in breadth-first order, and each node's
+	// subtree bounds around the window centre (see bracket).
+	cand   []topology.NodeID
+	vals   []float64
+	order  []topology.NodeID
+	up, dn []float64
 }
 
 // NewWorkload creates a workload generator targeting the given involved-
@@ -161,10 +171,12 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 		return q, Resolve(q, tree, mounted, value)
 	}
 	centre := w.vals[w.rng.Intn(len(candidates))]
+	w.bracket(tree, len(mounted), centre)
 
 	// Binary search the half-width for the target involvement. The probes
-	// only need the involved-node count, so they use the allocation-free
-	// counter; the winning query is fully resolved once at the end.
+	// only need the involved-node count, which one flat pass over the
+	// bracketed bounds gives; the winning query is fully resolved once at
+	// the end.
 	span := qt.SpanWidth()
 	n := tree.Len()
 	loW, hiW := 0.0, span
@@ -173,7 +185,7 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 	for iter := 0; iter < 24; iter++ {
 		mid := (loW + hiW) / 2
 		cand := Query{ID: q.ID, Type: qt, Lo: centre - mid, Hi: centre + mid}
-		involved := w.involvedCount(cand, tree, len(mounted))
+		involved := w.involved(cand.Lo, cand.Hi)
 		frac := 0.0
 		if n > 1 {
 			frac = float64(involved) / float64(n-1)
@@ -191,35 +203,70 @@ func (w *Workload) Next(gen *sensordata.Generator, tree *topology.Tree,
 	return best, Resolve(best, tree, mounted, value)
 }
 
-// involvedCount returns what len(Resolve(q, ...).Should) would be — the
-// number of distinct non-root nodes on root-to-source paths — over the
-// candidate readings Next collected, using a reusable stamp buffer
-// instead of materializing the set. n is the network size.
-func (w *Workload) involvedCount(q Query, tree *topology.Tree, n int) int {
-	if cap(w.stamp) < n {
-		w.stamp = make([]int32, n)
+// bracket prepares the width search's probes for windows centred on c.
+// For every non-root tree node it keeps two bounds over the candidate
+// readings in its subtree: up, the smallest reading >= c (+Inf if none),
+// and dn, the largest reading < c (-Inf if none). A NaN reading falls in
+// neither bucket, as Matches rejects it too. The root and nodes outside
+// the tree keep both sentinels. n is the network size.
+func (w *Workload) bracket(tree *topology.Tree, n int, c float64) {
+	if cap(w.up) < n {
+		w.up, w.dn = make([]float64, n), make([]float64, n)
 	}
-	stamp := w.stamp[:n]
-	w.pass++
-	root := tree.Root()
-	count := 0
+	up, dn := w.up[:n], w.dn[:n]
+	w.up, w.dn = up, dn
+	inf := math.Inf(1)
+	for i := range up {
+		up[i], dn[i] = inf, -inf
+	}
 	for k, v := range w.vals {
-		if !q.Matches(v) {
-			continue
+		switch id := w.cand[k]; {
+		case v >= c:
+			up[id] = v
+		case v < c:
+			dn[id] = v
 		}
-		id := w.cand[k]
-		for hop := id; hop != root; {
-			if stamp[hop] == w.pass {
-				break
-			}
-			stamp[hop] = w.pass
-			count++
-			p, ok := tree.Parent(hop)
-			if !ok {
-				break
-			}
-			hop = p
+	}
+	// Fold each node's bounds into its parent's, deepest nodes first: in
+	// reverse breadth-first order every child comes before its parent.
+	root := tree.Root()
+	order := append(w.order[:0], root)
+	for i := 0; i < len(order); i++ {
+		order = append(order, tree.Children(order[i])...)
+	}
+	w.order = order
+	for i := len(order) - 1; i > 0; i-- {
+		id := order[i]
+		if p, _ := tree.Parent(id); p != root {
+			up[p] = min(up[p], up[id])
+			dn[p] = max(dn[p], dn[id])
 		}
+	}
+}
+
+// involved returns what Resolve(q, ...).Should.Len() would be for a window
+// [lo, hi] around the centre c that bracket was given: the number of
+// non-root tree nodes with a matching candidate in their subtree.
+// lo = c - mid <= c <= c + mid = hi holds in floating point for mid >= 0,
+// so a reading >= c matches iff it is <= hi and a reading < c iff it is
+// >= lo: a subtree holds a match iff up <= hi or dn >= lo. Readings are
+// the Generator's, clamped to the type's span or NaN, so for a finite
+// centre lo and hi are finite and no sentinel counts; a NaN centre counts
+// nothing, as no reading matches a NaN window.
+func (w *Workload) involved(lo, hi float64) int {
+	count := 0
+	dn := w.dn[:len(w.up)]
+	for i, u := range w.up {
+		// Two ifs rather than ||, so the count compiles to conditional
+		// moves: the bounds are in node order, which no branch predicts.
+		in := 0
+		if u <= hi {
+			in = 1
+		}
+		if dn[i] >= lo {
+			in = 1
+		}
+		count += in
 	}
 	return count
 }
@@ -281,22 +328,7 @@ func ResolveGeo(q Query, rect topology.Rect, tree *topology.Tree,
 	mounted []sensordata.TypeSet, value func(topology.NodeID) float64,
 	pos func(topology.NodeID) topology.Position) GroundTruth {
 
-	gt := GroundTruth{Should: map[topology.NodeID]bool{}}
-	for _, id := range tree.Nodes() {
-		if id == tree.Root() || !mounted[id].Has(q.Type) {
-			continue
-		}
-		if !rect.Contains(pos(id)) {
-			continue
-		}
-		if q.Matches(value(id)) {
-			gt.Sources = append(gt.Sources, id)
-			for _, hop := range tree.PathToRoot(id) {
-				if hop != tree.Root() {
-					gt.Should[hop] = true
-				}
-			}
-		}
-	}
-	return gt
+	return resolve(q, tree, mounted, value, func(id topology.NodeID) bool {
+		return rect.Contains(pos(id))
+	})
 }

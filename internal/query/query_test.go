@@ -54,15 +54,15 @@ func TestResolveSourcesAndForwarders(t *testing.T) {
 	}
 	// Should = {4, 1} ∪ {6, 3}; root excluded.
 	want := map[topology.NodeID]bool{1: true, 3: true, 4: true, 6: true}
-	if len(gt.Should) != len(want) {
-		t.Fatalf("Should = %v, want %v", gt.Should, want)
+	if gt.Should.Len() != len(want) {
+		t.Fatalf("Should = %v, want %v", gt.Should.IDs(), want)
 	}
 	for id := range want {
-		if !gt.Should[id] {
-			t.Fatalf("missing %d in Should set %v", id, gt.Should)
+		if !gt.Should.Has(id) {
+			t.Fatalf("missing %d in Should set %v", id, gt.Should.IDs())
 		}
 	}
-	if gt.Should[0] {
+	if gt.Should.Has(0) {
 		t.Fatal("root in Should set")
 	}
 }
@@ -86,7 +86,7 @@ func TestResolveEmptyResult(t *testing.T) {
 	tr, mounted := fixedTree(t)
 	q := Query{Type: sensordata.Temperature, Lo: 10, Hi: 20}
 	gt := Resolve(q, tr, mounted, func(topology.NodeID) float64 { return 99 })
-	if len(gt.Sources) != 0 || len(gt.Should) != 0 {
+	if len(gt.Sources) != 0 || gt.Should.Len() != 0 {
 		t.Fatalf("expected empty ground truth, got %+v", gt)
 	}
 	if gt.InvolvedFraction(7) != 0 {
@@ -95,7 +95,10 @@ func TestResolveEmptyResult(t *testing.T) {
 }
 
 func TestInvolvedFraction(t *testing.T) {
-	gt := GroundTruth{Should: map[topology.NodeID]bool{1: true, 2: true, 3: true}}
+	var gt GroundTruth
+	for _, id := range []topology.NodeID{1, 2, 3} {
+		gt.Should.Add(id)
+	}
 	if f := gt.InvolvedFraction(7); math.Abs(f-0.5) > 1e-12 {
 		t.Fatalf("InvolvedFraction = %v, want 0.5 (3 of 6 non-root)", f)
 	}
@@ -274,8 +277,8 @@ func TestResolveGeo(t *testing.T) {
 		}
 	}
 	// Forwarding closure: node 1 is on node 4's path; should = {1, 4}.
-	if len(gt.Should) != 2 || !gt.Should[1] || !gt.Should[4] {
-		t.Fatalf("geo Should = %v", gt.Should)
+	if gt.Should.Len() != 2 || !gt.Should.Has(1) || !gt.Should.Has(4) {
+		t.Fatalf("geo Should = %v", gt.Should.IDs())
 	}
 
 	// Empty rectangle coverage.

@@ -502,19 +502,20 @@ func (r *Runner) Inject(q query.Query, truth query.GroundTruth) (rec *core.Query
 	now := r.Engine.Now()
 	if r.Cfg.DisseminateByFlooding {
 		fr := r.floodBFS.Disseminate(r.Channel, topology.Root, core.QueryMsg{Q: q})
+		n := r.Graph.Len()
 		rec = &core.QueryRecord{
 			Query: q, Truth: truth, InjectedAt: now,
-			Received: map[topology.NodeID]bool{},
-			Sources:  map[topology.NodeID]bool{},
+			Received: query.NewNodeSet(n),
+			Sources:  query.NewNodeSet(n),
 		}
 		for _, id := range fr.Reached {
 			if id != topology.Root {
-				rec.Received[id] = true
+				rec.Received.Add(id)
 			}
 		}
 		for _, src := range truth.Sources {
-			if rec.Received[src] {
-				rec.Sources[src] = true
+			if rec.Received.Has(src) {
+				rec.Sources.Add(src)
 			}
 		}
 		r.records = append(r.records, rec)

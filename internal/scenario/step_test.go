@@ -146,7 +146,7 @@ func TestDisableWorkload(t *testing.T) {
 		t.Fatalf("Snapshot saw %d queries / %d accuracies, want 1/1",
 			res.QueriesInjected, len(res.Accuracies))
 	}
-	if len(rec.Received) == 0 && len(truth.Should) > 0 {
+	if rec.Received.Len() == 0 && truth.Should.Len() > 0 {
 		t.Error("externally injected query reached no nodes")
 	}
 }

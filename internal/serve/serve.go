@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -86,12 +85,12 @@ type Response struct {
 	AdmittedEpoch int64   `json:"admitted_epoch"`
 	AnsweredEpoch int64   `json:"answered_epoch"`
 	// Matched lists the nodes the query was delivered to, ascending.
-	Matched []int `json:"matched"`
+	Matched []topology.NodeID `json:"matched"`
 	// Sources lists the matched nodes whose own reading satisfied the
 	// range when the query reached them, ascending.
-	Sources  []int    `json:"sources"`
-	Accuracy Accuracy `json:"accuracy"`
-	Cost     Cost     `json:"cost"`
+	Sources  []topology.NodeID `json:"sources"`
+	Accuracy Accuracy          `json:"accuracy"`
+	Cost     Cost              `json:"cost"`
 }
 
 // AdmittedQuery is one entry of a shard's admission log: everything that
@@ -157,17 +156,7 @@ func accuracyOf(a metrics.Accuracy) Accuracy {
 	}
 }
 
-// sortedIDs flattens a node set to an ascending []int.
-func sortedIDs(set map[topology.NodeID]bool) []int {
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, int(id))
-	}
-	sort.Ints(out)
-	return out
-}
-
 // evalRecord builds the accuracy and matched sets of one query record.
-func evalRecord(rec *core.QueryRecord, n int) (acc Accuracy, matched, sources []int) {
-	return accuracyOf(metrics.Eval(rec, n)), sortedIDs(rec.Received), sortedIDs(rec.Sources)
+func evalRecord(rec *core.QueryRecord, n int) (acc Accuracy, matched, sources []topology.NodeID) {
+	return accuracyOf(metrics.Eval(rec, n)), rec.Received.IDs(), rec.Sources.IDs()
 }

@@ -139,6 +139,8 @@ var testOnlyExportAllowlist = map[string]string{
 	"core.Protocol.Predictor":                 "facade-reachable: dirq.Runner.Proto",
 	"core.Protocol.Records":                   "facade-reachable: dirq.Runner.Proto",
 	"core.Protocol.Tree":                      "facade-reachable: dirq.Runner.Proto",
+	"core.RangeTable.Child":                   "facade-reachable: dirq.Runner.Proto.Node(id).Table",
+	"core.RangeTable.Children":                "facade-reachable: dirq.Runner.Proto.Node(id).Table",
 	"core.RangeTable.ClearOwn":                "facade-reachable: dirq.Runner.Proto.Node(id).Table",
 	"core.RangeTable.LastSent":                "facade-reachable: dirq.Runner.Proto.Node(id).Table",
 	"experiments.Fig6Result.SteadyStateMeans": "fixture: Fig. 6 readings shared by the experiments and root benchmark tests",
@@ -325,8 +327,6 @@ func sortedKeys(m map[string]string) []string {
 // pkg.Recv.Func, as in testOnlyExportAllowlist.
 var mapRangeAllowlist = map[string]string{
 	"core.Protocol.Orphans": "collects the IDs, then sorts them",
-	"metrics.Eval":          "two walks that only count members of one set missing from the other",
-	"serve.sortedIDs":       "collects the IDs, then sorts them",
 	"telemetry.labelString": "collects the label names, then sorts them",
 }
 

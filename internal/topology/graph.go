@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // NodeID identifies a node. The root of the network is always node 0.
@@ -66,7 +65,7 @@ func (g *Graph) AddEdge(a, b NodeID) error {
 }
 
 func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
+	i, _ := slices.BinarySearch(s, v)
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = v
@@ -75,9 +74,8 @@ func insertSorted(s []NodeID, v NodeID) []NodeID {
 
 // HasEdge reports whether (a, b) is an edge.
 func (g *Graph) HasEdge(a, b NodeID) bool {
-	s := g.adj[a]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= b })
-	return i < len(s) && s[i] == b
+	_, ok := slices.BinarySearch(g.adj[a], b)
+	return ok
 }
 
 // Neighbors returns the sorted neighbor list of id. The returned slice must
@@ -140,8 +138,7 @@ func (g *Graph) RemoveNodeEdges(id NodeID) {
 }
 
 func removeSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+	if i, ok := slices.BinarySearch(s, v); ok {
 		return append(s[:i], s[i+1:]...)
 	}
 	return s

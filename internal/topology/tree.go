@@ -8,9 +8,10 @@ import (
 // the communication structure DirQ maintains range tables over.
 //
 // All per-node state lives in flat slices indexed by NodeID: Contains,
-// Parent and Depth sit on per-query hot paths (ground-truth resolution
-// walks parent chains for every probe of the workload's width search),
-// where a slice load beats a map lookup severalfold at large N — and a
+// Parent and Children sit on per-query hot paths (ground-truth resolution
+// walks parent chains; the workload's width search folds bounds up the
+// tree once per query), where a slice load beats a map lookup severalfold
+// at large N — and a
 // 100k-node build pays a handful of slice allocations instead of three
 // maps' worth of per-entry churn.
 type Tree struct {
@@ -138,21 +139,6 @@ func (t *Tree) Subtree(id NodeID) []NodeID {
 		order = append(order, t.Children(order[i])...)
 	}
 	return order
-}
-
-// PathToRoot returns the node sequence from id up to and including the root.
-func (t *Tree) PathToRoot(id NodeID) []NodeID {
-	if !t.Contains(id) {
-		return nil
-	}
-	path := []NodeID{id}
-	for {
-		p := t.parentArr[path[len(path)-1]]
-		if p < 0 {
-			return path
-		}
-		path = append(path, p)
-	}
 }
 
 // Nodes returns all tree nodes in ascending ID order.

@@ -133,26 +133,6 @@ func TestDetachErrors(t *testing.T) {
 	}
 }
 
-func TestPathToRoot(t *testing.T) {
-	tr := buildSimpleTree(t)
-	p := tr.PathToRoot(4)
-	want := []NodeID{4, 1, 0}
-	if len(p) != len(want) {
-		t.Fatalf("PathToRoot(4) = %v", p)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("PathToRoot(4) = %v, want %v", p, want)
-		}
-	}
-	if got := tr.PathToRoot(0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("PathToRoot(root) = %v", got)
-	}
-	if got := tr.PathToRoot(99); got != nil {
-		t.Fatalf("PathToRoot(absent) = %v, want nil", got)
-	}
-}
-
 func TestLeaves(t *testing.T) {
 	tr := buildSimpleTree(t)
 	leaves := tr.Leaves()
