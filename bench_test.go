@@ -252,7 +252,6 @@ func BenchmarkLMACFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mac.Init()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mac.RunFrame()

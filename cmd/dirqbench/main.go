@@ -450,9 +450,10 @@ var ratioFloors = []struct {
 	floor    float64
 }{
 	// Large-N locality: runs read 0.73-1.33 when the floor was set,
-	// 0.445-0.610 over ten ladders at 35ff2c6, and 0.524-0.557 over the
-	// three behind BENCH_pr31.json (2 CPUs); the large-N cliff the engine
-	// once had (24k against ~1.9M node-epochs/s) read ~0.013.
+	// 0.445-0.610 over ten ladders at 35ff2c6, 0.524-0.557 over the
+	// three behind BENCH_pr31.json, and 0.703-0.802 over the three behind
+	// BENCH_pr32.json (2 CPUs both); the large-N cliff the engine once
+	// had (24k against ~1.9M node-epochs/s) read ~0.013.
 	{"scale/fixed-100000", "scale/fixed-5000", 0.40},
 	// Activity gating: 10 runs read 2.75-3.64 (median 3.40); with gating
 	// silently off the gated rung runs the naive path and the ratio falls

@@ -197,13 +197,17 @@ func New(engine *sim.Engine, mac *lmac.MAC, channel *radio.Channel,
 			p.hot.parkNode(i)
 		}
 	}
-	// MAC wiring: deliveries and cross-layer notifications.
-	for i := range p.nodes {
-		mac.Listen(topology.NodeID(i), p.nodes[i].HandleMessage)
-	}
+	// Radio and MAC wiring: deliveries and cross-layer notifications.
+	channel.SetReceiver(p.deliver)
 	mac.OnNeighborDead(p.onNeighborDead)
-	mac.Init()
 	return p, nil
+}
+
+// deliver is the channel's receiver: it hands a message to the node it
+// reached, through the node table, so a node JoinNode replaces receives
+// from then on.
+func (p *Protocol) deliver(to, from topology.NodeID, msg any) {
+	p.nodes[to].HandleMessage(from, msg)
 }
 
 // Node returns the state machine of one node.
@@ -530,7 +534,6 @@ func (p *Protocol) JoinNode(id topology.NodeID, mounted sensordata.TypeSet) erro
 	p.nodes[id] = NewNode(id, mounted, p.cfg.Controllers(id), p.mac, p)
 	p.nodes[id].SetTrace(p.cfg.Trace)
 	p.nodes[id].msgPool = &p.updPool
-	p.mac.Listen(id, p.nodes[id].HandleMessage)
 	p.mac.Join(id)
 	delete(p.deadSeen, id)
 	p.orphaned[id] = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/lmac"
@@ -366,23 +367,16 @@ func TestJoinNodeIntegratesIntoTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late := topology.NodeID(19)
-	gNoLate := g.Clone()
-	gNoLate.RemoveNodeEdges(late)
-	// The tree is built without the late node.
-	treeFull, err := topology.BuildSpanningTree(g, topology.Root, 8, 10)
+	// The late node is a leaf of the spanning tree, so the tree without
+	// it still spans every other node.
+	tree, err := topology.BuildSpanningTree(g, topology.Root, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = treeFull
-	tree := topology.NewTree(topology.Root)
-	reach := gNoLate.ReachableFrom(topology.Root)
-	if len(reach) != 19 {
-		t.Skip("late node was an articulation point in this draw")
-	}
-	tree, err = topology.BuildSpanningTree(gNoLate, topology.Root, 8, 10)
-	if err != nil {
-		t.Skip("caps too tight for this draw")
+	leaves := tree.Leaves()
+	late := leaves[len(leaves)-1]
+	if _, err := tree.Detach(late); err != nil {
+		t.Fatal(err)
 	}
 
 	engine := sim.NewEngine()
@@ -427,6 +421,15 @@ func TestJoinNodeIntegratesIntoTree(t *testing.T) {
 	}
 	if _, ok := prt.Child(late); !ok {
 		t.Fatalf("parent %d missing soil row for joined node", par)
+	}
+
+	// The joined node also receives: a match-all soil query reaches it and
+	// it answers as a source. Only the Node JoinNode built mounts the soil
+	// sensor, so a delivery to the node it replaced would not count.
+	rec := proto.InjectQuery(mkQuery(1, sensordata.SoilMoisture, math.Inf(-1), math.Inf(1)), query.GroundTruth{})
+	engine.RunUntil(100)
+	if !rec.Received.Has(late) || !rec.Sources.Has(late) {
+		t.Fatalf("joined node received=%v source=%v, want both", rec.Received.Has(late), rec.Sources.Has(late))
 	}
 }
 

@@ -50,8 +50,8 @@ func (s *Scratch) bfs(g *topology.Graph, alive func(topology.NodeID) bool, origi
 
 // Disseminate floods msg from the origin across all live nodes reachable
 // over live radio links, accounting costs on the channel's meter under
-// radio.ClassFlood. Receivers registered on the channel hear the message
-// once per live neighbor, exactly as a real flood would deliver duplicates.
+// radio.ClassFlood. The channel's receiver hears the message once per live
+// neighbor of each node, exactly as a real flood would deliver duplicates.
 func (s *Scratch) Disseminate(ch *radio.Channel, origin topology.NodeID, msg any) Result {
 	g := ch.Graph()
 	if !ch.Alive(origin) {

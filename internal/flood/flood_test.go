@@ -84,10 +84,7 @@ func TestFloodDeliversDuplicates(t *testing.T) {
 	}
 	ch := radio.NewChannel(g, radio.NewMeter(g.Len()))
 	heard := map[topology.NodeID]int{}
-	for i := 0; i < 3; i++ {
-		id := topology.NodeID(i)
-		ch.Listen(id, func(from topology.NodeID, msg any) { heard[id]++ })
-	}
+	ch.SetReceiver(func(to, from topology.NodeID, msg any) { heard[to]++ })
 	res := Disseminate(ch, 0, nil)
 	for i := 0; i < 3; i++ {
 		if heard[topology.NodeID(i)] != 2 {

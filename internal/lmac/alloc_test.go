@@ -22,7 +22,6 @@ func allocNet(t *testing.T) (*MAC, *topology.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Init()
 	return m, g
 }
 

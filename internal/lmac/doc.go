@@ -12,7 +12,9 @@
 //
 // In the repo's layer map this is the MAC layer between radio and core:
 // DirQ nodes hand Update Messages and query forwards to MAC queues, and
-// one RunFrame per epoch delivers them. The frame loop reuses its slot
+// one RunFrame per epoch hands them to the channel. The MAC keeps no
+// receive handlers: the channel's one receiver, which core installs,
+// takes every delivery straight to the node it reached. The frame loop reuses its slot
 // order, queue buffers and multicast address lists, so steady-state
 // traffic does not allocate.
 //

@@ -107,8 +107,7 @@ type MAC struct {
 	// death is yet to be declared.
 	pending []deathWatch
 
-	receivers []func(from topology.NodeID, msg any)
-	onDead    func(at topology.NodeID, dead topology.NodeID)
+	onDead func(at topology.NodeID, dead topology.NodeID)
 
 	tel Telemetry
 }
@@ -137,7 +136,6 @@ func New(engine *sim.Engine, channel *radio.Channel) (*MAC, error) {
 		engine:        engine,
 		channel:       channel,
 		nodes:         make([]nodeState, g.Len()),
-		receivers:     make([]func(topology.NodeID, any), g.Len()),
 		deadThreshold: DefaultDeadThreshold,
 	}
 	slots, err := AssignSlots(g)
@@ -301,11 +299,6 @@ func (m *MAC) SetDeadThreshold(frames int64) {
 	m.deadThreshold = frames
 }
 
-// Listen registers the upper-layer receive handler for a node.
-func (m *MAC) Listen(id topology.NodeID, fn func(from topology.NodeID, msg any)) {
-	m.receivers[id] = fn
-}
-
 // OnNeighborDead registers the cross-layer callback fired at a node when one
 // of its neighbors is detected dead (§4.2: "When LMAC detects that a
 // neighboring node has died, it sends a notification to DirQ").
@@ -451,16 +444,6 @@ func (m *MAC) declareDeaths() {
 	m.pending = keep
 }
 
-// installListener wires the channel's receiver for a node to the MAC's
-// upper-layer handler table.
-func (m *MAC) installListener(id topology.NodeID) {
-	m.channel.Listen(id, func(from topology.NodeID, msg any) {
-		if r := m.receivers[id]; r != nil {
-			r(from, msg)
-		}
-	})
-}
-
 // Kill powers a node off: it stops beaconing and transmitting immediately.
 // Neighbors will detect the death after the dead-threshold elapses.
 func (m *MAC) Kill(id topology.NodeID) {
@@ -482,7 +465,6 @@ func (m *MAC) Join(id topology.NodeID) {
 	} else {
 		m.channel.SetAlive(id, true)
 	}
-	m.installListener(id)
 }
 
 // AssignSlots computes a TDMA schedule in which no two nodes within two hops
@@ -532,12 +514,4 @@ func AssignSlots(g *topology.Graph) ([]int, error) {
 		slots[id] = s
 	}
 	return slots, nil
-}
-
-// Init wires the channel listeners for all nodes. Call after constructing
-// the MAC and registering upper-layer receivers.
-func (m *MAC) Init() {
-	for i := range m.nodes {
-		m.installListener(topology.NodeID(i))
-	}
 }

@@ -18,7 +18,6 @@ func newTestNet(t *testing.T, g *topology.Graph) (*sim.Engine, *radio.Channel, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Init()
 	return engine, ch, m
 }
 
@@ -79,10 +78,14 @@ func TestVerifySlotsDetectsClash(t *testing.T) {
 }
 
 func TestUnicastDeliveredInFrame(t *testing.T) {
-	_, _, m := lineNet(t, 3)
+	_, ch, m := lineNet(t, 3)
 	var got any
 	var from topology.NodeID = -1
-	m.Listen(1, func(f topology.NodeID, msg any) { from, got = f, msg })
+	ch.SetReceiver(func(to, f topology.NodeID, msg any) {
+		if to == 1 {
+			from, got = f, msg
+		}
+	})
 	m.Unicast(0, 1, radio.ClassUpdate, "up")
 	m.RunFrame()
 	if from != 0 || got != "up" {
@@ -94,12 +97,9 @@ func TestUnicastDeliveredInFrame(t *testing.T) {
 }
 
 func TestBroadcastDeliveredToNeighbors(t *testing.T) {
-	_, _, m := lineNet(t, 3)
+	_, ch, m := lineNet(t, 3)
 	heard := map[topology.NodeID]bool{}
-	for i := 0; i < 3; i++ {
-		id := topology.NodeID(i)
-		m.Listen(id, func(f topology.NodeID, msg any) { heard[id] = true })
-	}
+	ch.SetReceiver(func(to, f topology.NodeID, msg any) { heard[to] = true })
 	m.Broadcast(1, radio.ClassEstimate, "eh")
 	m.RunFrame()
 	if !heard[0] || !heard[2] || heard[1] {
@@ -111,12 +111,16 @@ func TestForwardingWithinOrAcrossFrames(t *testing.T) {
 	// 0 -> 1 -> 2 relay: node 1 re-enqueues on receive. Whether the relay
 	// happens in the same frame depends on slot order; in all cases it must
 	// arrive within two frames.
-	_, _, m := lineNet(t, 3)
+	_, ch, m := lineNet(t, 3)
 	arrived := -1
-	m.Listen(1, func(f topology.NodeID, msg any) {
-		m.Unicast(1, 2, radio.ClassQuery, msg)
+	ch.SetReceiver(func(to, f topology.NodeID, msg any) {
+		switch to {
+		case 1:
+			m.Unicast(1, 2, radio.ClassQuery, msg)
+		case 2:
+			arrived = int(m.Frame())
+		}
 	})
-	m.Listen(2, func(f topology.NodeID, msg any) { arrived = int(m.Frame()) })
 	m.Unicast(0, 1, radio.ClassQuery, "q")
 	m.RunFrame()
 	m.RunFrame()
@@ -178,11 +182,15 @@ func TestDeadNeighborDetection(t *testing.T) {
 }
 
 func TestDeadNodeStopsTraffic(t *testing.T) {
-	_, _, m := lineNet(t, 3)
+	_, ch, m := lineNet(t, 3)
 	m.Unicast(1, 2, radio.ClassQuery, "q")
 	m.Kill(1)
 	got := false
-	m.Listen(2, func(topology.NodeID, any) { got = true })
+	ch.SetReceiver(func(to, _ topology.NodeID, _ any) {
+		if to == 2 {
+			got = true
+		}
+	})
 	m.RunFrame()
 	if got {
 		t.Fatal("dead node still transmitted its queue")
@@ -218,7 +226,6 @@ func TestJoinPrimesNeighborTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Init()
 	m.RunFrame()
 	if nbs := m.neighbors(1); len(nbs) != 1 || nbs[0] != 0 {
 		t.Fatalf("node 1 neighbors before the join = %v, want [0]", nbs)
@@ -228,7 +235,11 @@ func TestJoinPrimesNeighborTables(t *testing.T) {
 		t.Fatalf("joined node neighbors = %v, want [1]", nbs)
 	}
 	var got any
-	m.Listen(1, func(_ topology.NodeID, msg any) { got = msg })
+	ch.SetReceiver(func(to, _ topology.NodeID, msg any) {
+		if to == 1 {
+			got = msg
+		}
+	})
 	m.Unicast(2, 1, radio.ClassUpdate, "hello")
 	m.RunFrame()
 	if nbs := m.neighbors(1); len(nbs) != 2 || nbs[1] != 2 {
@@ -314,7 +325,7 @@ func TestTDMASlotOrderGovernsForwardingLatency(t *testing.T) {
 	// Node 0 owns slot 0, node 1 owns slot 1. A message relayed towards a
 	// LATER slot goes out in the same frame; one relayed towards an EARLIER
 	// slot must wait for the next frame.
-	_, _, m := lineNet(t, 2)
+	_, ch, m := lineNet(t, 2)
 	if m.Slot(0) != 0 || m.Slot(1) != 1 {
 		t.Fatalf("unexpected slots %d,%d", m.Slot(0), m.Slot(1))
 	}
@@ -323,10 +334,14 @@ func TestTDMASlotOrderGovernsForwardingLatency(t *testing.T) {
 	// 1 hears it then), and node 1's slot 1 is still ahead, so it arrives
 	// back at node 0 within frame 0.
 	var backFrame int64 = -1
-	m.Listen(1, func(f topology.NodeID, msg any) {
-		m.Unicast(1, 0, radio.ClassQuery, msg)
+	ch.SetReceiver(func(to, f topology.NodeID, msg any) {
+		switch to {
+		case 1:
+			m.Unicast(1, 0, radio.ClassQuery, msg)
+		case 0:
+			backFrame = m.Frame()
+		}
 	})
-	m.Listen(0, func(f topology.NodeID, msg any) { backFrame = m.Frame() })
 	m.Unicast(0, 1, radio.ClassQuery, "ping")
 	m.RunFrame()
 	if backFrame != 0 {
@@ -336,10 +351,14 @@ func TestTDMASlotOrderGovernsForwardingLatency(t *testing.T) {
 	// Direction 2: 1 -> 0 -> 1. Node 0 hears during slot 1 but its own slot
 	// 0 has already passed this frame, so the bounce waits for frame 2.
 	var fwdFrame int64 = -1
-	m.Listen(0, func(f topology.NodeID, msg any) {
-		m.Unicast(0, 1, radio.ClassQuery, msg)
+	ch.SetReceiver(func(to, f topology.NodeID, msg any) {
+		switch to {
+		case 0:
+			m.Unicast(0, 1, radio.ClassQuery, msg)
+		case 1:
+			fwdFrame = m.Frame()
+		}
 	})
-	m.Listen(1, func(f topology.NodeID, msg any) { fwdFrame = m.Frame() })
 	m.Unicast(1, 0, radio.ClassQuery, "pong")
 	m.RunFrame() // frame 1: 1 transmits in slot 1; 0 enqueues too late
 	if fwdFrame != -1 {
@@ -382,10 +401,7 @@ func TestMACMulticast(t *testing.T) {
 	centre := topology.NodeID(4)
 	targets := []topology.NodeID{1, 7}
 	heard := map[topology.NodeID]bool{}
-	for _, nb := range g.Neighbors(centre) {
-		nb := nb
-		m.Listen(nb, func(from topology.NodeID, msg any) { heard[nb] = true })
-	}
+	ch.SetReceiver(func(to, from topology.NodeID, msg any) { heard[to] = true })
 	m.Multicast(centre, targets, radio.ClassQuery, "q")
 	m.RunFrame()
 	if !heard[1] || !heard[7] {
@@ -411,12 +427,16 @@ func TestMACMulticastEmptyIgnored(t *testing.T) {
 }
 
 func TestMACMulticastCopiesTargets(t *testing.T) {
-	_, _, m := lineNet(t, 3)
+	_, ch, m := lineNet(t, 3)
 	targets := []topology.NodeID{0}
 	m.Multicast(1, targets, radio.ClassQuery, nil)
 	targets[0] = 2 // caller mutates after queueing
 	got := false
-	m.Listen(0, func(topology.NodeID, any) { got = true })
+	ch.SetReceiver(func(to, _ topology.NodeID, _ any) {
+		if to == 0 {
+			got = true
+		}
+	})
 	m.RunFrame()
 	if !got {
 		t.Fatal("queued multicast target list aliased caller slice")

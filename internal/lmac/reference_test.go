@@ -28,7 +28,6 @@ type beaconModel struct {
 	queue         [][]queuedMsg
 	frame         int64
 	deadThreshold int64
-	receivers     []func(from topology.NodeID, msg any)
 	onDead        func(at, dead topology.NodeID)
 }
 
@@ -46,7 +45,6 @@ func newBeaconModel(channel *radio.Channel) (*beaconModel, error) {
 		registered:    make([]bool, n),
 		queue:         make([][]queuedMsg, n),
 		deadThreshold: DefaultDeadThreshold,
-		receivers:     make([]func(topology.NodeID, any), n),
 	}
 	for i := 0; i < n; i++ {
 		b.adj[i] = append([]topology.NodeID(nil), g.Neighbors(topology.NodeID(i))...)
@@ -82,24 +80,6 @@ func (b *beaconModel) live(id topology.NodeID) bool {
 	return b.registered[id] && b.channel.Alive(id)
 }
 
-func (b *beaconModel) Init() {
-	for i := range b.receivers {
-		b.installListener(topology.NodeID(i))
-	}
-}
-
-func (b *beaconModel) installListener(id topology.NodeID) {
-	b.channel.Listen(id, func(from topology.NodeID, msg any) {
-		if r := b.receivers[id]; r != nil {
-			r(from, msg)
-		}
-	})
-}
-
-func (b *beaconModel) Listen(id topology.NodeID, fn func(topology.NodeID, any)) {
-	b.receivers[id] = fn
-}
-
 func (b *beaconModel) OnNeighborDead(fn func(at, dead topology.NodeID)) { b.onDead = fn }
 
 func (b *beaconModel) SetDeadThreshold(frames int64) { b.deadThreshold = frames }
@@ -133,7 +113,6 @@ func (b *beaconModel) Kill(id topology.NodeID) {
 func (b *beaconModel) Join(id topology.NodeID) {
 	b.channel.SetAlive(id, true)
 	b.register(id)
-	b.installListener(id)
 }
 
 func (b *beaconModel) RunFrame() {
@@ -186,8 +165,6 @@ func (b *beaconModel) RunFrame() {
 
 // frameMAC is what the schedule drives: the MAC and the beacon model.
 type frameMAC interface {
-	Init()
-	Listen(id topology.NodeID, fn func(from topology.NodeID, msg any))
 	OnNeighborDead(fn func(at, dead topology.NodeID))
 	Unicast(from, to topology.NodeID, class radio.Class, msg any)
 	Broadcast(from topology.NodeID, class radio.Class, msg any)
@@ -278,19 +255,15 @@ func runSchedule(t testing.TB, s schedule, build func(*radio.Channel) (frameMAC,
 		t.Fatal(err)
 	}
 	var tr runTrace
-	for i := 0; i < n; i++ {
-		at := topology.NodeID(i)
-		m.Listen(at, func(from topology.NodeID, msg any) {
-			tr.deliveries = append(tr.deliveries, delivery{m.Frame(), at, from, msg})
-			if v := msg.(int); v%2 == 1 {
-				m.Unicast(at, from, radio.ClassQuery, v/2)
-			}
-		})
-	}
+	ch.SetReceiver(func(at, from topology.NodeID, msg any) {
+		tr.deliveries = append(tr.deliveries, delivery{m.Frame(), at, from, msg})
+		if v := msg.(int); v%2 == 1 {
+			m.Unicast(at, from, radio.ClassQuery, v/2)
+		}
+	})
 	m.OnNeighborDead(func(at, dead topology.NodeID) {
 		tr.deaths = append(tr.deaths, death{m.Frame(), at, dead})
 	})
-	m.Init()
 	frames := func(k int) {
 		for ; k > 0; k-- {
 			m.RunFrame()

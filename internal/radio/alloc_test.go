@@ -7,7 +7,7 @@ import (
 )
 
 // TestBroadcastAllocFree pins the delivery hot path's allocation ceiling:
-// a broadcast with registered receivers must not allocate.
+// a broadcast through an installed receiver must not allocate.
 func TestBroadcastAllocFree(t *testing.T) {
 	g, _, err := topology.BuildKaryTree(4, 3)
 	if err != nil {
@@ -15,9 +15,7 @@ func TestBroadcastAllocFree(t *testing.T) {
 	}
 	ch := NewChannel(g, NewMeter(g.Len()))
 	sink := 0
-	for i := 0; i < g.Len(); i++ {
-		ch.Listen(topology.NodeID(i), func(from topology.NodeID, msg any) { sink++ })
-	}
+	ch.SetReceiver(func(to, from topology.NodeID, msg any) { sink++ })
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		ch.Broadcast(topology.Root, ClassFlood, nil)
@@ -38,9 +36,7 @@ func TestUnicastMulticastAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := NewChannel(g, NewMeter(g.Len()))
-	for i := 0; i < g.Len(); i++ {
-		ch.Listen(topology.NodeID(i), func(from topology.NodeID, msg any) {})
-	}
+	ch.SetReceiver(func(to, from topology.NodeID, msg any) {})
 	targets := g.Neighbors(topology.Root)
 
 	allocs := testing.AllocsPerRun(1000, func() {

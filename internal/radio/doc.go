@@ -7,6 +7,10 @@
 //
 // In the repo's layer map this is substrate: lmac flushes every TDMA slot
 // through Channel broadcast/multicast/unicast, and all experiment cost
-// figures read the Meter. The delivery hot path is allocation-free; the
-// address lists a multicast carries are pooled by the MAC above.
+// figures read the Meter. Every reception goes through one Receiver, set
+// once with SetReceiver and called with the node the message reached;
+// core installs one that indexes its node table, so a delivery is one
+// indirect call and no per-node handler exists. The delivery hot path is
+// allocation-free; the address lists a multicast carries are pooled by
+// the MAC above.
 package radio

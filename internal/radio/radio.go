@@ -113,8 +113,8 @@ func (m *Meter) Snapshot() map[Class]Cost {
 	return out
 }
 
-// Receiver handles a delivered message.
-type Receiver func(from topology.NodeID, msg any)
+// Receiver handles a message delivered to node to from its neighbor from.
+type Receiver func(to, from topology.NodeID, msg any)
 
 // Channel delivers messages between nodes over the connectivity graph.
 // Delivery is synchronous (the MAC layer above decides *when* to transmit;
@@ -122,7 +122,7 @@ type Receiver func(from topology.NodeID, msg any)
 type Channel struct {
 	graph       *topology.Graph
 	meter       *Meter
-	receivers   []Receiver
+	receiver    Receiver
 	alive       []bool
 	aliveVer    uint64 // power flips so far; see AliveVersion
 	lossProb    float64
@@ -152,10 +152,9 @@ func (ch *Channel) SetTelemetry(t Telemetry) { ch.tel = t }
 // NewChannel creates a loss-free channel over g.
 func NewChannel(g *topology.Graph, meter *Meter) *Channel {
 	ch := &Channel{
-		graph:     g,
-		meter:     meter,
-		receivers: make([]Receiver, g.Len()),
-		alive:     make([]bool, g.Len()),
+		graph: g,
+		meter: meter,
+		alive: make([]bool, g.Len()),
 	}
 	for i := range ch.alive {
 		ch.alive[i] = true
@@ -173,10 +172,10 @@ func (ch *Channel) SetLoss(p float64, rng *sim.RNG) {
 	ch.lossRNG = rng
 }
 
-// Listen registers the receive handler for a node.
-func (ch *Channel) Listen(id topology.NodeID, r Receiver) {
-	ch.receivers[id] = r
-}
+// SetReceiver installs the one handler every delivery on the channel goes
+// through, whichever node it reaches. Without one, deliveries are
+// metered but go nowhere.
+func (ch *Channel) SetReceiver(r Receiver) { ch.receiver = r }
 
 // SetAlive marks a node as powered (true) or dead (false). Dead nodes
 // neither transmit nor receive.
@@ -232,6 +231,7 @@ func (ch *Channel) Broadcast(from topology.NodeID, class Class, msg any) int {
 	ch.meter.countTx(from, class)
 	ch.tel.Tx.Inc()
 	heard := 0
+	r := ch.receiver
 	for _, nb := range ch.graph.Neighbors(from) {
 		if !ch.alive[nb] || ch.dropped() {
 			continue
@@ -239,8 +239,8 @@ func (ch *Channel) Broadcast(from topology.NodeID, class Class, msg any) int {
 		ch.meter.countRx(nb, class)
 		ch.tel.Rx.Inc()
 		heard++
-		if r := ch.receivers[nb]; r != nil {
-			r(from, msg)
+		if r != nil {
+			r(nb, from, msg)
 		}
 	}
 	return heard
@@ -270,6 +270,7 @@ func (ch *Channel) Multicast(from topology.NodeID, targets []topology.NodeID, cl
 	ch.meter.countTx(from, class)
 	ch.tel.Tx.Inc()
 	heard := 0
+	r := ch.receiver
 	for _, to := range targets {
 		if !ch.alive[to] || ch.dropped() {
 			continue
@@ -277,8 +278,8 @@ func (ch *Channel) Multicast(from topology.NodeID, targets []topology.NodeID, cl
 		ch.meter.countRx(to, class)
 		ch.tel.Rx.Inc()
 		heard++
-		if r := ch.receivers[to]; r != nil {
-			r(from, msg)
+		if r != nil {
+			r(to, from, msg)
 		}
 	}
 	return heard
@@ -301,8 +302,8 @@ func (ch *Channel) Unicast(from, to topology.NodeID, class Class, msg any) bool 
 	}
 	ch.meter.countRx(to, class)
 	ch.tel.Rx.Inc()
-	if r := ch.receivers[to]; r != nil {
-		r(from, msg)
+	if ch.receiver != nil {
+		ch.receiver(to, from, msg)
 	}
 	return true
 }

@@ -20,12 +20,9 @@ func lineChannel(t *testing.T, n int) (*Channel, *Meter) {
 func TestBroadcastReachesNeighborsOnly(t *testing.T) {
 	ch, _ := lineChannel(t, 4) // 0-1-2-3
 	var got []topology.NodeID
-	for i := 0; i < 4; i++ {
-		id := topology.NodeID(i)
-		ch.Listen(id, func(from topology.NodeID, msg any) {
-			got = append(got, id)
-		})
-	}
+	ch.SetReceiver(func(to, from topology.NodeID, msg any) {
+		got = append(got, to)
+	})
 	n := ch.Broadcast(1, ClassFlood, "hello")
 	if n != 2 {
 		t.Fatalf("Broadcast returned %d receivers, want 2", n)
@@ -54,7 +51,11 @@ func TestUnicastDeliveryAndCost(t *testing.T) {
 	ch, m := lineChannel(t, 3)
 	var from topology.NodeID = -1
 	var payload any
-	ch.Listen(2, func(f topology.NodeID, msg any) { from, payload = f, msg })
+	ch.SetReceiver(func(to, f topology.NodeID, msg any) {
+		if to == 2 {
+			from, payload = f, msg
+		}
+	})
 	ok := ch.Unicast(1, 2, ClassUpdate, 42)
 	if !ok {
 		t.Fatal("unicast to live neighbor failed")
@@ -95,7 +96,11 @@ func TestDeadNodesDoNotTransmit(t *testing.T) {
 func TestDeadNodesDoNotReceive(t *testing.T) {
 	ch, m := lineChannel(t, 3)
 	heard := false
-	ch.Listen(2, func(topology.NodeID, any) { heard = true })
+	ch.SetReceiver(func(to, _ topology.NodeID, _ any) {
+		if to == 2 {
+			heard = true
+		}
+	})
 	ch.SetAlive(2, false)
 	if ch.Unicast(1, 2, ClassUpdate, nil) {
 		t.Fatal("unicast to dead node reported delivered")
@@ -278,10 +283,11 @@ func TestMulticastCostAndDelivery(t *testing.T) {
 	m := NewMeter(4)
 	ch := NewChannel(g, m)
 	heard := map[topology.NodeID]bool{}
-	for i := 1; i < 4; i++ {
-		id := topology.NodeID(i)
-		ch.Listen(id, func(from topology.NodeID, msg any) { heard[id] = true })
-	}
+	ch.SetReceiver(func(to, from topology.NodeID, msg any) {
+		if to != 0 {
+			heard[to] = true
+		}
+	})
 	n := ch.Multicast(0, []topology.NodeID{1, 3}, ClassQuery, "q")
 	if n != 2 {
 		t.Fatalf("multicast receivers %d, want 2", n)

@@ -501,7 +501,9 @@ func Build(cfg Config) (*Runner, error) {
 func (r *Runner) Inject(q query.Query, truth query.GroundTruth) (rec *core.QueryRecord, floodCost int64) {
 	now := r.Engine.Now()
 	if r.Cfg.DisseminateByFlooding {
-		fr := r.floodBFS.Disseminate(r.Channel, topology.Root, core.QueryMsg{Q: q})
+		// The flood carries the bare query, which no DirQ handler routes:
+		// the nodes hear every copy and answer none with directed traffic.
+		fr := r.floodBFS.Disseminate(r.Channel, topology.Root, q)
 		n := r.Graph.Len()
 		rec = &core.QueryRecord{
 			Query: q, Truth: truth, InjectedAt: now,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/radio"
 )
 
 // small returns a fast configuration for tests.
@@ -340,6 +341,25 @@ func TestFloodingModeCostsApproxBaseline(t *testing.T) {
 	// And updates are suppressed beyond the initial reports.
 	if res.UpdateCost.Tx > int64(cfg.NumNodes*8) {
 		t.Fatalf("flooding mode sent %d updates, want only initial reports", res.UpdateCost.Tx)
+	}
+}
+
+// TestFloodingModeSendsNoDirectedQueries checks that the flooding
+// baseline's copies stay flood traffic: no node routes one onward as a
+// DirQ query, so a flood-mode run meters no ClassQuery cost at all.
+func TestFloodingModeSendsNoDirectedQueries(t *testing.T) {
+	cfg := small()
+	cfg.DisseminateByFlooding = true
+	r, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	if c := r.Meter.ByClass(radio.ClassQuery); c != (radio.Cost{}) {
+		t.Fatalf("flood-mode run metered query traffic %+v, want none", c)
+	}
+	if c := r.Meter.ByClass(radio.ClassFlood); c.Tx == 0 {
+		t.Fatal("flood-mode run sent no flood traffic")
 	}
 }
 
