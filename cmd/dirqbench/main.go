@@ -451,13 +451,17 @@ var ratioFloors = []struct {
 }{
 	// Large-N locality: runs read 0.73-1.33 when the floor was set,
 	// 0.445-0.610 over ten ladders at 35ff2c6, 0.524-0.557 over the
-	// three behind BENCH_pr31.json, and 0.703-0.802 over the three behind
-	// BENCH_pr32.json (2 CPUs both); the large-N cliff the engine once
-	// had (24k against ~1.9M node-epochs/s) read ~0.013.
+	// three behind BENCH_pr31.json, 0.703-0.802 over the three behind
+	// BENCH_pr32.json, and 0.773, 0.729 and 0.936 over the three behind
+	// BENCH_pr34.json, the first with the plume-motion grid at both
+	// rungs (one ladder of its parent read 0.660; 2 CPUs all); the
+	// large-N cliff the engine once had (24k against ~1.9M
+	// node-epochs/s) read ~0.013.
 	{"scale/fixed-100000", "scale/fixed-5000", 0.40},
-	// Activity gating: 10 runs read 2.75-3.64 (median 3.40); with gating
-	// silently off the gated rung runs the naive path and the ratio falls
-	// to ~1.0.
+	// Activity gating: 10 runs read 2.75-3.64 (median 3.40), and the
+	// three BENCH_pr34.json ladders 3.09, 3.23 and 3.93 (neither 1000-node
+	// rung has the grid); with gating silently off the gated rung runs the
+	// naive path and the ratio falls to ~1.0.
 	{"scale/fixed-1000", "scale/naive-1000", 1.20},
 }
 

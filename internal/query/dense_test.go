@@ -256,3 +256,57 @@ func checkInvolved(t *testing.T, n int, seed uint64) {
 		}
 	}
 }
+
+// TestBracketFollowsTreeChanges brackets one tree, moves a subtree under
+// a node that was deeper than it, and brackets again with the same
+// Workload. The breadth-first order bracket folds bounds in is cached
+// across queries; reusing the first call's order would fold the moved
+// subtree into its new parent after that parent had already been folded
+// into its own, so its ancestors would miss the subtree's readings and
+// involved would undercount against Resolve. The tree's generation must
+// change with every Attach and Detach for the cache to see the move.
+func TestBracketFollowsTreeChanges(t *testing.T) {
+	// root 0 ─ 1 ─ 2 ─ 3 ─ 4, and root 0 ─ 5 ─ 6.
+	tr := topology.NewTree(topology.Root)
+	for _, e := range [][2]topology.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}} {
+		if err := tr.Attach(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 7
+	ty := sensordata.Temperature
+	mounted := sensordata.AssignAllTypes(n)
+	read := []float64{0, 30, 30, 30, 30, 10, 10}
+	value := func(id topology.NodeID) float64 { return read[id] }
+	w := &Workload{}
+	check := func(stage string) {
+		w.cand, w.vals = w.cand[:0], w.vals[:0]
+		for _, id := range tr.Nodes() {
+			if id != tr.Root() {
+				w.cand = append(w.cand, id)
+				w.vals = append(w.vals, read[id])
+			}
+		}
+		w.bracket(tr, n, 10)
+		q := Query{Type: ty, Lo: 9, Hi: 11}
+		want := Resolve(q, tr, mounted, value).Should.Len()
+		if got := w.involved(q.Lo, q.Hi); got != want {
+			t.Fatalf("%s: involved %d, Resolve's Should has %d", stage, got, want)
+		}
+	}
+	check("first tree")
+	gen := tr.Generation()
+	if _, err := tr.Detach(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Attach(4, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Attach(5, 6); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Generation() == gen {
+		t.Fatal("Detach and Attach left the tree's generation unchanged")
+	}
+	check("subtree moved under node 4")
+}

@@ -103,11 +103,15 @@ type Workload struct {
 
 	// Reusable scratch for Next: candidate centre nodes, their readings
 	// (parallel to cand), the tree in breadth-first order, and each node's
-	// subtree bounds around the window centre (see bracket).
-	cand   []topology.NodeID
-	vals   []float64
-	order  []topology.NodeID
-	up, dn []float64
+	// subtree bounds around the window centre (see bracket). order is
+	// that of orderOf at generation orderGen, and is rebuilt only when
+	// the tree has changed since.
+	cand     []topology.NodeID
+	vals     []float64
+	order    []topology.NodeID
+	orderOf  *topology.Tree
+	orderGen uint64
+	up, dn   []float64
 }
 
 // NewWorkload creates a workload generator targeting the given involved-
@@ -230,11 +234,7 @@ func (w *Workload) bracket(tree *topology.Tree, n int, c float64) {
 	// Fold each node's bounds into its parent's, deepest nodes first: in
 	// reverse breadth-first order every child comes before its parent.
 	root := tree.Root()
-	order := append(w.order[:0], root)
-	for i := 0; i < len(order); i++ {
-		order = append(order, tree.Children(order[i])...)
-	}
-	w.order = order
+	order := w.treeOrder(tree)
 	for i := len(order) - 1; i > 0; i-- {
 		id := order[i]
 		if p, _ := tree.Parent(id); p != root {
@@ -242,6 +242,21 @@ func (w *Workload) bracket(tree *topology.Tree, n int, c float64) {
 			dn[p] = max(dn[p], dn[id])
 		}
 	}
+}
+
+// treeOrder returns the tree's nodes in breadth-first order, root first.
+// The order is cached and rebuilt only when the tree, or its generation,
+// differs from the last call's.
+func (w *Workload) treeOrder(tree *topology.Tree) []topology.NodeID {
+	if w.orderOf == tree && w.orderGen == tree.Generation() {
+		return w.order
+	}
+	order := append(w.order[:0], tree.Root())
+	for i := 0; i < len(order); i++ {
+		order = append(order, tree.Children(order[i])...)
+	}
+	w.order, w.orderOf, w.orderGen = order, tree, tree.Generation()
+	return order
 }
 
 // involved returns what Resolve(q, ...).Should.Len() would be for a window

@@ -80,6 +80,23 @@ func TestGatedNaiveEquivalenceLargeN(t *testing.T) {
 	gatedVsNaive(t, cfg)
 }
 
+// TestGatedNaiveEquivalenceGrid is the same guard on a field wide enough
+// for the generator's plume-motion grid (ScaleDefault(4000) spans 894 m;
+// smaller scale defaults have none): with each plume's motion charged only
+// to the cells near it, the gated loop evaluates about a tenth of what it
+// did with one bound for every node, and must still reproduce the naive
+// loop bit for bit. The evaluation ratio shows the grid is on.
+func TestGatedNaiveEquivalenceGrid(t *testing.T) {
+	cfg := ScaleDefault(4000)
+	cfg.Epochs = 400
+	gated, naive := gatedVsNaive(t, cfg)
+	// With one bound for every node (c822a65) the gated loop made
+	// 1 208 177 evaluations here, a fifth of the naive loop's.
+	if gated*20 > naive {
+		t.Fatalf("gated loop evaluated %d pairs of the naive loop's %d", gated, naive)
+	}
+}
+
 // TestScaleDefaultBuilds checks the stretched configurations actually
 // deploy (connected placement, depth cap adequate) across the bench sizes.
 func TestScaleDefaultBuilds(t *testing.T) {

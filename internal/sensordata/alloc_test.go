@@ -100,12 +100,71 @@ func TestQuiescentWindowZeroEvaluations(t *testing.T) {
 // inside that window. Runs with full default dynamics so plumes, noise
 // and the diurnal cycle all push against the bound, and windows follow
 // the protocol's hysteresis rule. It runs with the sweep kernel as the
-// host enables it and forced off.
-func TestSweepNeverLies(t *testing.T) { kernelModes(t, checkSweepNeverLies) }
+// host enables it and forced off, on the paper's 100 m square and on two
+// squares wide enough for the plume-motion grid (see gridPositions).
+func TestSweepNeverLies(t *testing.T) {
+	epochs := 400
+	if testing.Short() {
+		epochs = 100
+	}
+	kernelModes(t, func(t *testing.T) {
+		t.Run("side100", func(t *testing.T) { checkSweepNeverLies(t, refPositions(80, 13), 7, 400) })
+		for _, side := range []float64{800, 3000} {
+			t.Run(fmt.Sprintf("side%.0f", side), func(t *testing.T) {
+				checkSweepNeverLies(t, gridPositions(t, 1500, 13, side), 7, epochs)
+			})
+		}
+	})
+}
 
-func checkSweepNeverLies(t *testing.T) {
-	pos := refPositions(80, 13)
-	g := NewGenerator(pos, sim.NewRNG(7).Stream("data"))
+// gridPositions lays n nodes on a side×side square that must be wide
+// enough for the plume-motion grid (see edgePositions).
+func gridPositions(t *testing.T, n int, seed uint64, side float64) []topology.Position {
+	t.Helper()
+	pos := edgePositions(n, seed, side)
+	if NewGenerator(pos, sim.NewRNG(seed).Stream("data")).grid == nil {
+		t.Fatalf("no plume-motion grid on a %v m square", side)
+	}
+	return pos
+}
+
+// edgePositions lays n nodes uniformly on a side×side square and moves
+// node 0 to the square's far corner. Where the field has a plume-motion
+// grid, it also moves one node in ten exactly onto grid lines: cell
+// corners, and points on a vertical or a horizontal cell edge, the
+// square's outer edges included.
+func edgePositions(n int, seed uint64, side float64) []topology.Position {
+	pos := refPositionsIn(n, seed, side)
+	if n == 0 {
+		return pos
+	}
+	pos[0] = topology.Position{X: side, Y: side}
+	gr := NewGenerator(pos, sim.NewRNG(seed).Stream("data")).grid
+	if gr == nil {
+		return pos
+	}
+	rng := sim.NewRNG(seed).Stream("edges")
+	for k := 1; k < n/10; k++ {
+		x := min(float64(rng.Intn(gr.nx+1))*gr.cw, side)
+		y := min(float64(rng.Intn(gr.ny+1))*gr.ch, side)
+		switch k % 3 {
+		case 1:
+			y = rng.Range(0, side)
+		case 2:
+			x = rng.Range(0, side)
+		}
+		pos[k] = topology.Position{X: x, Y: y}
+	}
+	return pos
+}
+
+// checkSweepNeverLies reads, like the protocol, only the pairs the sweep
+// flags, so snapshots of quiet pairs grow old and the bound must cover
+// every epoch since; a twin generator of the same seed, read in full,
+// supplies the true readings.
+func checkSweepNeverLies(t *testing.T, pos []topology.Position, seed uint64, epochs int) {
+	g := NewGenerator(pos, sim.NewRNG(seed).Stream("data"))
+	truth := NewGenerator(pos, sim.NewRNG(seed).Stream("data"))
 
 	n := len(pos)
 	active := make([]uint8, n) // per node: active type bits this epoch
@@ -124,8 +183,9 @@ func checkSweepNeverLies(t *testing.T) {
 			lo[ty][i], hi[ty][i] = v-delta, v+delta
 		}
 	}
-	for epoch := 1; epoch <= 400; epoch++ {
+	for epoch := 1; epoch <= epochs; epoch++ {
 		g.Step()
+		truth.Step()
 		dst = g.ActiveSweep(&lo, &hi, mask, dst[:0])
 		clear(active)
 		for _, i := range dst {
@@ -135,7 +195,10 @@ func checkSweepNeverLies(t *testing.T) {
 			wlo, whi := lo[ty], hi[ty]
 			delta := ty.SpanWidth() * 0.05
 			for i := 0; i < n; i++ {
-				v := g.Value(topology.NodeID(i), ty)
+				v := truth.Value(topology.NodeID(i), ty)
+				if active[i]&(1<<uint(ty)) != 0 {
+					g.Value(topology.NodeID(i), ty)
+				}
 				if active[i]&(1<<uint(ty)) == 0 && (v < wlo[i] || v > whi[i]) {
 					t.Fatalf("epoch %d node %d type %s: sweep claimed quiet but value %v escaped [%v, %v]",
 						epoch, i, ty, v, wlo[i], whi[i])
@@ -147,8 +210,9 @@ func checkSweepNeverLies(t *testing.T) {
 			}
 		}
 	}
-	if g.Evals() == 0 {
-		t.Fatal("property test never evaluated anything")
+	if g.Evals() == 0 || g.Evals() >= truth.Evals() {
+		t.Fatalf("sweep evaluated %d pairs, the full reads %d: one side of the property is untested",
+			g.Evals(), truth.Evals())
 	}
 	if math.IsNaN(g.Value(0, Temperature)) {
 		t.Fatal("NaN escaped the generator")
@@ -157,8 +221,9 @@ func checkSweepNeverLies(t *testing.T) {
 
 // TestSweepNeverLiesRandomWindows is the same safety property under
 // adversarial windows, at network sizes on both sides of the 64-node
-// word boundary, with the sweep kernel as the host enables it and forced
-// off.
+// word boundary and on two squares wide enough for the plume-motion grid
+// (see gridPositions), with the sweep kernel as the host enables it and
+// forced off.
 func TestSweepNeverLiesRandomWindows(t *testing.T) {
 	epochs := 300
 	if testing.Short() {
@@ -169,8 +234,39 @@ func TestSweepNeverLiesRandomWindows(t *testing.T) {
 		seed uint64
 	}{{1, 1}, {63, 2}, {64, 3}, {130, 4}, {1000, 5}} {
 		t.Run(fmt.Sprintf("n%d", tc.n), func(t *testing.T) {
-			kernelModes(t, func(t *testing.T) { checkSweepRandomWindows(t, tc.n, tc.seed, epochs) })
+			kernelModes(t, func(t *testing.T) { checkTwoSided(t, refPositions(tc.n, tc.seed), tc.seed, epochs) })
 		})
+	}
+	for _, side := range []float64{800, 3000} {
+		t.Run(fmt.Sprintf("wide%.0f", side), func(t *testing.T) {
+			pos := gridPositions(t, 1500, 6, side)
+			kernelModes(t, func(t *testing.T) { checkTwoSided(t, pos, 6, epochs) })
+		})
+	}
+}
+
+// FuzzSweepNeverLies runs checkSweepRandomWindows on fuzzed fields: the
+// square's side (50 m to ~4 km, so with and without the plume-motion
+// grid), the node count, the field seed and the seed of the window draws,
+// over 40 epochs with the kernels as the host enables them.
+func FuzzSweepNeverLies(f *testing.F) {
+	f.Add(uint16(100), uint16(80), uint64(1), uint64(1))
+	f.Add(uint16(800), uint16(1500), uint64(2), uint64(3))
+	f.Add(uint16(3000), uint16(1500), uint64(4), uint64(5))
+	f.Add(uint16(720), uint16(7), uint64(6), uint64(7))
+	f.Fuzz(func(t *testing.T, side, nodes uint16, seed, windows uint64) {
+		pos := edgePositions(1+int(nodes%2000), seed, 50+float64(side%4000))
+		checkSweepRandomWindows(t, pos, seed, windows, 40)
+	})
+}
+
+// checkTwoSided runs checkSweepRandomWindows with one seed for the field
+// and the windows, and fails unless the sweep both flagged and refuted
+// pairs.
+func checkTwoSided(t *testing.T, pos []topology.Position, seed uint64, epochs int) {
+	t.Helper()
+	if hits, refutes := checkSweepRandomWindows(t, pos, seed, seed, epochs); hits == 0 || refutes == 0 {
+		t.Fatalf("sweep outcomes one-sided: %d hits, %d refutes", hits, refutes)
 	}
 }
 
@@ -184,13 +280,16 @@ func TestSweepNeverLiesRandomWindows(t *testing.T) {
 //   - every (+Inf, -Inf) pair is flagged and no (-Inf, +Inf) pair is;
 //   - every pair the sweep omits reads inside its window;
 //   - the sweep examined every pair, and flagged as many as it counted.
-func checkSweepRandomWindows(t *testing.T, n int, seed uint64, epochs int) {
-	pos := refPositions(n, seed)
+//
+// seed seeds the field and windowSeed the window draws. It returns the
+// sweep's total hits and refutes.
+func checkSweepRandomWindows(t *testing.T, pos []topology.Position, seed, windowSeed uint64, epochs int) (hits, refutes int64) {
+	n := len(pos)
 	g := NewGenerator(pos, sim.NewRNG(seed).Stream("data"))
 	truth := NewGenerator(pos, sim.NewRNG(seed).Stream("data"))
 	tel := Telemetry{SweepHits: &telemetry.Counter{}, SweepRefutes: &telemetry.Counter{}}
 	g.SetTelemetry(tel)
-	rng := sim.NewRNG(seed).Stream("windows")
+	rng := sim.NewRNG(windowSeed).Stream("windows")
 	inf := math.Inf(1)
 
 	// randomWindow draws a window for one (node, type): around v when the
@@ -325,7 +424,5 @@ func checkSweepRandomWindows(t *testing.T, n int, seed uint64, epochs int) {
 			truth.ScaleDynamics(ty, f)
 		}
 	}
-	if tel.SweepHits.Value() == 0 || tel.SweepRefutes.Value() == 0 {
-		t.Fatalf("sweep outcomes one-sided: %d hits, %d refutes", tel.SweepHits.Value(), tel.SweepRefutes.Value())
-	}
+	return tel.SweepHits.Value(), tel.SweepRefutes.Value()
 }

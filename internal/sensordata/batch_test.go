@@ -129,11 +129,19 @@ func TestEvalNodesMatchesLazyEval(t *testing.T) {
 // through sim's sweep kernel and through the scalar loop, and requires the
 // same mask bytes, worklist and hit and refute counts. Windows are random
 // around the readings or across the span, both sentinels and knife edges;
-// sizes straddle the kernel's 4-pair block and the worklist's 8-byte word.
+// sizes straddle the kernel's 4-pair block and the worklist's 8-byte word,
+// and the last case, on an 800 m square, has the plume-motion grid, whose
+// cell terms the kernel gathers.
 func TestActiveSweepKernelMatchesScalar(t *testing.T) {
 	defer func(on bool) { useKernels = on }(useKernels)
+	var layouts [][]topology.Position
 	for _, n := range []int{1, 3, 4, 5, 8, 13, 64, 130, 1001} {
-		g := NewGenerator(refPositions(n, uint64(n)), sim.NewRNG(uint64(n)).Stream("data"))
+		layouts = append(layouts, refPositions(n, uint64(n)))
+	}
+	layouts = append(layouts, gridPositions(t, 1503, 9, 800))
+	for _, pos := range layouts {
+		n := len(pos)
+		g := NewGenerator(pos, sim.NewRNG(uint64(n)).Stream("data"))
 		rng := sim.NewRNG(uint64(n)).Stream("windows")
 		var lo, hi [NumTypes][]float64
 		for _, ty := range AllTypes() {

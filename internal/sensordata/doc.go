@@ -25,6 +25,21 @@
 // one pass over every pair, so a quiescent network evaluates nothing and
 // pays only that scan on top of Step's per-pair noise draw.
 //
+// The plume-motion bound is local where the field is wide. A plume (σ ≈
+// 20 m) moves a fraction of a metre per epoch, so on a field of several
+// hundred metres most nodes are far from every plume and their readings
+// hardly move. When the field's shorter side spans at least
+// gridMinReaches plume reaches (6 × the largest σ a type draws, 180 m
+// with the default parameters, so from 720 m), NewGenerator lays a grid of
+// cells over it, each node holds its cell's index, and Step charges a
+// plume's move only to the cells within its reach: each such cell takes
+// the least of three bounds on the plume term's change there (see
+// chargeCells), and every node takes a far-field term that is smaller by
+// orders of magnitude. A node's bound is the global sum plus its cell's.
+// A smaller field keeps one sum for every node, with no grid, no per-node
+// index and no per-epoch cell work: there some plume reaches nearly every
+// cell, so the grid would cost work and refute nothing more.
+//
 // Callers that know which pairs they will read evaluate them in one batch
 // with EvalNodes: core before its epoch worklist is applied, query before
 // it reads a query's candidates. The batch works type-major on chunks of
@@ -36,5 +51,6 @@
 // kept exponent outside its range) and on hosts without it. So values,
 // snapshots and the evaluation count are bit for bit those of the lazy
 // reads it replaces. ActiveSweep's per-pair test runs four pairs at a
-// time in sim.SweepWindows where the host has AVX2.
+// time in sim.SweepWindows where the host has AVX2, gathering the pairs'
+// cell terms where the field has a grid.
 package sensordata

@@ -156,6 +156,12 @@ func cullSlack(base float64) float64 {
 // NewGenerator) and never rebuilt, which is what lets eval cull a plume's
 // negligible far tail exactly. CullQ, ln(amp) + cullFloorSlack, is eval's
 // slack-free pre-filter for that cull.
+//
+// The plume-motion bound ActiveSweep refutes escapes with is cumBound, one
+// sum for every node, plus, on a field wide enough for a grid, the node's
+// cell's sum (see cellBound): a plume's move then charges its full bound
+// only to the cells within its reach, and every other cell only a
+// far-field term at most 6·e^-17.5 ≈ 1.5e-7 times the steepest slope.
 type typeField struct {
 	params FieldParams
 	plumes []sim.Plume
@@ -173,6 +179,22 @@ type typeField struct {
 	dayEpoch int64 // epoch dayVal is valid for; -1 = stale
 	dayVal   float64
 	cumBound float64
+
+	// The type's cell sums where the generator has a grid (see newGrid);
+	// nil without one, where cumBound carries each plume's whole bound.
+	cells *cellBound
+}
+
+// cellBound is one type's share of the plume-motion grid. cum[c] is the
+// running sum of the plume-motion bounds charged to cell c alone, so a
+// node's plume component has moved by at most cumBound + cum[its cell]
+// since that sum was recorded. A plume charges only the cells within
+// reach of it (see chargeCells); far[i] is plume i's amp·plumeSlope(reach,
+// σ), the bound per metre moved that covers every other cell.
+type cellBound struct {
+	reach float64
+	far   []float64
+	cum   []float64
 }
 
 // dayAt computes the type's diurnal term for an epoch from scratch.
@@ -213,9 +235,13 @@ type Generator struct {
 	// Per (type, node) lazy-evaluation records, indexed t*N + i.
 	stamp     []int64   // epoch values[i][t] was evaluated at
 	snapPlume []float64 // plume-sum component recorded at that evaluation
-	snapCum   []float64 // cumBound at that evaluation; -Inf = no usable snapshot
+	snapCum   []float64 // bound (see boundAt) at that evaluation; -Inf = no usable snapshot
 	evals     uint64    // total per-(node, type) field evaluations
 	scratch   evalScratch
+
+	// The plume-motion grid; nil on a field too small for one to help
+	// (see newGrid).
+	grid *plumeGrid
 
 	tel Telemetry
 }
@@ -245,6 +271,7 @@ func (g *Generator) SetTelemetry(t Telemetry) { g.tel = t }
 // stream (e.g. root.Stream("data")).
 func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 	var w, h float64
+	inArea := true // every coordinate finite and non-negative
 	for _, p := range positions {
 		if p.X > w {
 			w = p.X
@@ -252,7 +279,9 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 		if p.Y > h {
 			h = p.Y
 		}
+		inArea = inArea && p.X >= 0 && p.Y >= 0
 	}
+	inArea = inArea && !math.IsInf(w, 1) && !math.IsInf(h, 1)
 	if w == 0 {
 		w = 1
 	}
@@ -322,7 +351,7 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 				Y:   f.rng.Range(0, h),
 				Amp: p.PlumeAmp * f.rng.Range(0.6, 1.4),
 			}
-			sigma := p.PlumeSigma * f.rng.Range(0.8, 1.2)
+			sigma := p.PlumeSigma * f.rng.Range(0.8, plumeSigmaHi)
 			lnAmp := math.Log(pl.Amp)
 			pl.Den = 2 * sigma * sigma
 			pl.LnAmp1 = lnAmp + 1
@@ -331,6 +360,9 @@ func NewGenerator(positions []topology.Position, rng *sim.RNG) *Generator {
 			f.sigma = append(f.sigma, sigma)
 		}
 		g.fields[t] = f
+	}
+	if inArea {
+		g.newGrid(w, h)
 	}
 	g.compute()
 	return g
@@ -425,9 +457,13 @@ const maxPlumeSlope = 0.6065306597126334
 // Step advances the dataset by one epoch: plume centres drift, the diurnal
 // phase advances, and per-node AR(1) noise evolves. Values are NOT
 // recomputed here; each type's cumulative plume-motion bound grows by how
-// much this epoch's drift can possibly have changed any node's plume sum,
+// much this epoch's drift can possibly have changed a node's plume sum,
 // which is what lets ActiveSweep refute hysteresis escapes without
-// evaluating the field.
+// evaluating the field. Without a grid that is one bound for every node.
+// With one (a field at least gridMinReaches plume reaches wide), each
+// plume's move charges only the cells within its reach, by the least of
+// three bounds on its term's change there, plus a far-field term for
+// every node (see chargeCells).
 func (g *Generator) Step() {
 	g.epoch++
 	for _, t := range AllTypes() {
@@ -461,11 +497,16 @@ func (g *Generator) stepType(t Type) {
 		// the realized displacement is what matters.
 		amp := math.Abs(pl.Amp)
 		b := amp
+		dx, dy := pl.X-ox, pl.Y-oy
+		disp := math.Sqrt(dx*dx + dy*dy)
 		if sigma := f.sigma[i]; sigma > 0 {
-			dx, dy := pl.X-ox, pl.Y-oy
-			if s := math.Sqrt(dx*dx+dy*dy) * maxPlumeSlope / sigma * amp; s < b {
+			if s := disp * maxPlumeSlope / sigma * amp; s < b {
 				b = s
 			}
+		}
+		if f.cells != nil {
+			g.chargeCells(f, i, ox, oy, disp, b)
+			continue
 		}
 		motion += b
 	}
@@ -479,6 +520,157 @@ func (g *Generator) stepType(t Type) {
 		noise = noise[len(zb):]
 	}
 	f.cumBound += motion
+}
+
+// The plume-motion grid's geometry, all derived from the plumes' σ: a
+// plume's reach is plumeReach times the largest σ its type draws
+// (plumeSigmaHi·PlumeSigma); cells are cellsPerReach to a reach on a
+// side, or wider where that would leave fewer than nodesPerCell nodes to
+// a cell on average; and a field gets a grid only if its shorter side
+// spans gridMinReaches reaches. Below that, some plume reaches nearly
+// every cell, so per-cell charges cost work and refute nothing more.
+const (
+	plumeSigmaHi   = 1.2
+	plumeReach     = 6
+	cellsPerReach  = 2
+	nodesPerCell   = 8
+	gridMinReaches = 4
+)
+
+// plumeGrid divides the field [0, w] × [0, h] into nx × ny cells of cw ×
+// ch; cell (ix, iy) is number iy·nx + ix, and node i lies in cell[i].
+// pad is the absolute slack chargeCells allows for rounding in cell
+// assignment and distances, far above either: every node lies within pad
+// of its cell's rectangle.
+type plumeGrid struct {
+	nx, ny      int
+	cw, ch, pad float64
+	cell        []int32
+}
+
+// newGrid builds the plume-motion grid, every node's cell index and each
+// type's cell sums for a field of w × h holding every position, or leaves
+// the generator without a grid where the field is too small for one (see
+// gridMinReaches).
+func (g *Generator) newGrid(w, h float64) {
+	var reach [NumTypes]float64
+	maxReach := 0.0
+	for t, f := range g.fields {
+		reach[t] = plumeReach * plumeSigmaHi * f.params.PlumeSigma
+		maxReach = max(maxReach, reach[t])
+	}
+	if !(maxReach > 0) || !(min(w, h) >= gridMinReaches*maxReach) {
+		return
+	}
+	n := len(g.positions)
+	side := max(maxReach/cellsPerReach, math.Sqrt(w*h*nodesPerCell/float64(n)))
+	nx, ny := max(1, int(w/side)), max(1, int(h/side))
+	gr := &plumeGrid{nx: nx, ny: ny, cw: w / float64(nx), ch: h / float64(ny), pad: (w + h) * 0x1p-40,
+		cell: make([]int32, n)}
+	for i, p := range g.positions {
+		ix := min(int(p.X/gr.cw), nx-1)
+		iy := min(int(p.Y/gr.ch), ny-1)
+		gr.cell[i] = int32(iy*nx + ix)
+	}
+	for t, f := range g.fields {
+		c := &cellBound{reach: reach[t], far: make([]float64, len(f.plumes)), cum: make([]float64, nx*ny)}
+		for i, pl := range f.plumes {
+			c.far[i] = pl.Amp * plumeSlope(c.reach, f.sigma[i])
+		}
+		f.cells = c
+	}
+	g.grid = gr
+}
+
+// plumeSlope is the largest gradient magnitude a unit-amplitude Gaussian
+// of stddev sigma has at any distance of at least r from its centre: the
+// peak slope e^(-1/2)/σ up to r = σ, and (r/σ²)·e^(-r²/2σ²) beyond, where
+// the slope falls monotonically.
+func plumeSlope(r, sigma float64) float64 {
+	if r <= sigma {
+		return maxPlumeSlope / sigma
+	}
+	return r / (sigma * sigma) * sim.Exp(-(r*r)/(2*sigma*sigma))
+}
+
+// chargeSlack scales every charge chargeCells makes, to cover the rounding
+// of the dozen or so operations (each within 2^-53 relative, Exp within
+// an ulp) that compute it. upAdd then accumulates with rounding upward,
+// so cumBound and each cell sum stay at or above the exact sums of what
+// they were charged. What is left is the rounding of cumBound + cum[c]
+// when record stores it and when ActiveSweep recomputes it,
+// which the sweep's 1e-9 margin covers with the reconstruction's own.
+const chargeSlack = 1 + 0x1p-40
+
+// upAdd returns x + c·chargeSlack, rounded up.
+func upAdd(x, c float64) float64 {
+	return math.Nextafter(x+c*chargeSlack, math.Inf(1))
+}
+
+// chargeCells charges plume i's move this epoch, from (ox, oy) by disp,
+// to the grid. The change of a Gaussian term A·e^(-ρ²/2σ²) at a point p
+// is bounded three ways, each of which the charge may take:
+//
+//   - b, stepType's bound for every point: disp times the steepest slope
+//     A·e^(-1/2)/σ, capped at A;
+//   - for every p in a cell, the centre moved along a segment all of
+//     whose points lie at least r = rectDist(cell, old centre) − disp
+//     from p, so the change is at most disp·A·plumeSlope(r);
+//   - both the old and the new term lie in (0, A·e^(-r²/2σ²)], and so does
+//     their difference.
+//
+// Cells within reach + disp + 2·pad of the old centre take the least of
+// the three; where r ≤ σ that is b, as plumeSlope(r) is then the steepest
+// slope. r is taken pad short, which covers a node lying just outside its
+// cell's rectangle by rounding, and the rounding of r itself. Every other
+// cell's nodes, allowing pad for that and pad for the rounding of the
+// span's cell indices, are farther than reach + disp, so r > reach ≥ 6σ
+// and plumeSlope(r) ≤ plumeSlope(reach): the far-field term disp·far[i]
+// covers them, and it goes into cumBound, which every node reads. A move
+// that is not finite or exceeds reach (a drift scaled far up) charges b
+// to cumBound instead, as a field without a grid does.
+func (g *Generator) chargeCells(f *typeField, i int, ox, oy, disp, b float64) {
+	c, sigma := f.cells, f.sigma[i]
+	if !(disp <= c.reach) || !(sigma > 0) {
+		f.cumBound = upAdd(f.cumBound, b)
+		return
+	}
+	f.cumBound = upAdd(f.cumBound, min(b, disp*c.far[i]))
+	gr := g.grid
+	amp, ss := math.Abs(f.plumes[i].Amp), sigma*sigma
+	span := c.reach + disp + 2*gr.pad
+	ix0, ix1 := cellSpan(ox, span, gr.cw, gr.nx)
+	iy0, iy1 := cellSpan(oy, span, gr.ch, gr.ny)
+	for iy := iy0; iy <= iy1; iy++ {
+		dy := max(0, float64(iy)*gr.ch-oy, oy-float64(iy+1)*gr.ch)
+		row := c.cum[iy*gr.nx : (iy+1)*gr.nx]
+		for ix := ix0; ix <= ix1; ix++ {
+			dx := max(0, float64(ix)*gr.cw-ox, ox-float64(ix+1)*gr.cw)
+			charge := b
+			if r := math.Sqrt(dx*dx+dy*dy) - disp - gr.pad; r > sigma {
+				e := amp * sim.Exp(-(r*r)/(2*ss))
+				charge = min(b, e, e*(disp*r/ss))
+			}
+			row[ix] = upAdd(row[ix], charge)
+		}
+	}
+}
+
+// cellSpan returns the first and last cell index, of n cells of size
+// side, that reach within r of v, clamped to the grid.
+func cellSpan(v, r, side float64, n int) (lo, hi int) {
+	lo = max(0, int(math.Floor((v-r)/side)))
+	hi = min(n-1, int(math.Floor((v+r)/side)))
+	return lo, hi
+}
+
+// boundAt is the plume-motion bound node i's snapshots of t are measured
+// against: cumBound, plus the node's cell term where there is a grid.
+func (g *Generator) boundAt(f *typeField, i int) float64 {
+	if g.grid == nil {
+		return f.cumBound
+	}
+	return f.cumBound + f.cells.cum[g.grid.cell[i]]
 }
 
 // noiseBlock is how many AR(1) innovations stepType draws per block.
@@ -547,7 +739,7 @@ func (g *Generator) record(i int, t Type, base, v float64) {
 		snap = math.NaN()
 	}
 	g.snapPlume[k] = snap
-	g.snapCum[k] = g.fields[t].cumBound
+	g.snapCum[k] = g.boundAt(g.fields[t], i)
 	if v < lo {
 		v = lo
 	}
@@ -645,7 +837,9 @@ func (g *Generator) compute() {
 // and bias terms are exact (the generator evolves them every epoch
 // anyway), only the plume sum is bracketed by the cumulative motion bound
 // accumulated since the node's last evaluation, and the bracket is
-// clamped to the physical span exactly like real readings. Sentinel
+// clamped to the physical span exactly like real readings. On a field
+// with a grid that bound is the global sum plus the node's cell's sum
+// (see Step), so only nodes near a moving plume accumulate much of it. Sentinel
 // windows compose naturally: (+Inf, -Inf) is always swept out (evaluate
 // every epoch), (-Inf, +Inf) never is (unmounted or dead nodes). A node
 // missing from the result is guaranteed to read values inside its windows
@@ -664,22 +858,31 @@ func (g *Generator) ActiveSweep(lo, hi *[NumTypes][]float64, mask []uint8, dst [
 	for _, t := range AllTypes() {
 		f := g.fields[t]
 		base := f.params.Base + f.day(g.epoch)
-		// Tiny absolute margin so float rounding in the reconstruction can
-		// never flip a knife-edge case to a false "quiet".
+		// Tiny absolute margin so float rounding in the reconstruction (and
+		// in adding a cell's sum, see chargeSlack) can never flip a
+		// knife-edge case to a false "quiet".
 		cum := f.cumBound + 1e-9
 		spanLo, spanHi := t.Span()
 		noise, bias := f.noise[:n], f.bias[:n]
 		snapP := g.snapPlume[int(t)*n : int(t)*n+n]
 		snapC := g.snapCum[int(t)*n : int(t)*n+n]
 		wlo, whi := lo[t][:n], hi[t][:n]
+		var cell []int32
+		var cellCum []float64
+		if g.grid != nil {
+			cell, cellCum = g.grid.cell, f.cells.cum
+		}
 		bit := uint8(1) << uint(t)
 		var k int
 		var hits int64
 		if useKernels {
-			k, hits = sim.SweepWindows(mask, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, wlo, whi)
+			k, hits = sim.SweepWindows(mask, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, wlo, whi, cell, cellCum)
 		}
 		for i := k; i < n; i++ {
 			dev := cum - snapC[i]
+			if cell != nil {
+				dev = cum + cellCum[cell[i]] - snapC[i]
+			}
 			c := base + noise[i] + bias[i] + snapP[i]
 			vlo, vhi := c-dev, c+dev
 			if vlo < spanLo {

@@ -12,7 +12,8 @@ package sim
 //     through Exp's steps, fused where Exp calls math.FMA, so it also
 //     needs FMA;
 //   - SweepWindows reconstructs the activity sweep's bracket of a reading
-//     and tests it against its window, four pairs at a time.
+//     and tests it against its window, four pairs at a time, gathering
+//     each pair's cell term where the sweep has a grid.
 //
 // Every other lane operation is a plain IEEE add, subtract, multiply,
 // divide, compare or blend, so each lane rounds exactly as the scalar Go
@@ -109,18 +110,23 @@ func PlumeSums(v, x, y, slack []float64, plumes []Plume) {
 
 // SweepWindows is the per-pair test of an activity sweep for one sensor
 // type, on whole 4-pair blocks. For each pair i it brackets the reading as
-// c ± dev, with c = base + noise[i] + bias[i] + snapP[i] and dev = cum −
-// snapC[i] (added left to right), clamps the bracket into [spanLo,
+// c ± dev, with c = base + noise[i] + bias[i] + snapP[i] (added left to
+// right) and dev = cum − snapC[i], or, where cell is non-nil, dev = (cum +
+// cellCum[cell[i]]) − snapC[i]. It clamps the bracket into [spanLo,
 // spanHi] and, if it reaches below lo[i] or above hi[i], sets bit in
 // mask[i]. It returns how many leading pairs it tested (len(mask) rounded
 // down to a multiple of 4, or 0 where the kernel is off) and how many of
-// them it flagged; the caller tests the rest.
+// them it flagged; the caller tests the rest. Every cell[i] must index
+// cellCum.
 func SweepWindows(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
-	noise, bias, snapP, snapC, lo, hi []float64) (done int, hits int64) {
+	noise, bias, snapP, snapC, lo, hi []float64, cell []int32, cellCum []float64) (done int, hits int64) {
 	if !useSweepKernel {
 		return 0, 0
 	}
 	n := len(mask) &^ 3
+	if cell != nil {
+		cell = cell[:n]
+	}
 	return n, sweepAVX2(mask[:n], bit, base, cum, spanLo, spanHi,
-		noise[:n], bias[:n], snapP[:n], snapC[:n], lo[:n], hi[:n])
+		noise[:n], bias[:n], snapP[:n], snapC[:n], lo[:n], hi[:n], cell, cellCum)
 }

@@ -49,9 +49,9 @@ func polarScaleAVX2(u, s []float64)
 func plumeSumsAVX2(v, x, y, slack []float64, plumes []Plume) int
 
 // sweepAVX2 runs SweepWindows' test on every pair, using AVX2, and returns
-// how many it flagged. len(mask) must be a multiple of 4 and no slice
-// shorter than mask.
+// how many it flagged. len(mask) must be a multiple of 4 and no slice but
+// cellCum shorter than mask; a nil cell means no cell term.
 //
 //go:noescape
 func sweepAVX2(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
-	noise, bias, snapP, snapC, lo, hi []float64) int64
+	noise, bias, snapP, snapC, lo, hi []float64, cell []int32, cellCum []float64) int64

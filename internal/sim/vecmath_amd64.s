@@ -282,23 +282,46 @@ plumeDone:
 	MOVQ DX, ret+120(FP)
 	RET
 
-// func sweepAVX2(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64, noise, bias, snapP, snapC, lo, hi []float64) int64
+// func sweepAVX2(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64, noise, bias, snapP, snapC, lo, hi []float64, cell []int32, cellCum []float64) int64
 //
 // Per lane, with base, cum, spanLo and spanHi broadcast in Y12–Y15:
 //
-//	dev := cum − snapC
+//	dev := cum − snapC, or (cum + cellCum[cell]) − snapC with a cell column
 //	c := base + noise + bias + snapP
 //	vlo, vhi := c − dev, c + dev
 //	if vlo < spanLo { vlo = spanLo }; if vhi > spanHi { vhi = spanHi }
 //	hit := vlo < lo || vhi > hi
 //
-// The clamps are a compare and a blend, not MINPD/MAXPD, whose NaN and
+// A non-nil cell column selects the second loop, which gathers the four
+// cell terms with VGATHERDPD (its all-ones mask in Y7 is rebuilt every
+// block, as the gather clears it). SWEEPTEST does the rest, from dev in
+// Y0. The clamps are a compare and a blend, not MINPD/MAXPD, whose NaN and
 // signed-zero rules differ from Go's. The four hit bits become bit in each
 // of the group's mask bytes: multiplying by 0x204081 moves hit bit k to
 // bit 8k (the partial products do not overlap), and the product with bit
 // puts bit in each byte that holds a 1. Hits are counted per lane by
 // subtracting the all-ones compare masks from Y6.
-TEXT ·sweepAVX2(SB), NOSPLIT, $0-216
+#define SWEEPTEST \
+	VADDPD    (R8)(DX*8), Y12, Y1; \
+	VADDPD    (R9)(DX*8), Y1, Y1; \
+	VADDPD    (R10)(DX*8), Y1, Y1; \
+	VSUBPD    Y0, Y1, Y2; \
+	VADDPD    Y0, Y1, Y3; \
+	VCMPPD    $0x11, Y14, Y2, Y4; \
+	VBLENDVPD Y4, Y14, Y2, Y2; \
+	VCMPPD    $0x1E, Y15, Y3, Y4; \
+	VBLENDVPD Y4, Y15, Y3, Y3; \
+	VCMPPD    $0x11, (R12)(DX*8), Y2, Y2; \
+	VCMPPD    $0x1E, (R13)(DX*8), Y3, Y3; \
+	VORPD     Y3, Y2, Y2; \
+	VPSUBQ    Y2, Y6, Y6; \
+	VMOVMSKPD Y2, AX; \
+	IMULL     $0x204081, AX; \
+	ANDL      $0x01010101, AX; \
+	IMULL     R14, AX; \
+	ORL       AX, (DI)(DX*1)
+
+TEXT ·sweepAVX2(SB), NOSPLIT, $0-264
 	MOVQ         mask_base+0(FP), DI
 	MOVQ         mask_len+8(FP), CX
 	MOVBLZX      bit+24(FP), R14
@@ -312,35 +335,34 @@ TEXT ·sweepAVX2(SB), NOSPLIT, $0-216
 	MOVQ         snapC_base+136(FP), R11
 	MOVQ         lo_base+160(FP), R12
 	MOVQ         hi_base+184(FP), R13
+	MOVQ         cell_base+208(FP), SI
+	MOVQ         cellCum_base+232(FP), BX
 	XORQ         DX, DX
 	VPXOR        Y6, Y6, Y6
 	SHRQ         $2, CX
 	JZ           sweepSum
+	TESTQ        SI, SI
+	JNZ          sweepCellLoop
 
 sweepLoop:
-	VMOVUPD   (R11)(DX*8), Y0
-	VSUBPD    Y0, Y13, Y0
-	VADDPD    (R8)(DX*8), Y12, Y1
-	VADDPD    (R9)(DX*8), Y1, Y1
-	VADDPD    (R10)(DX*8), Y1, Y1
-	VSUBPD    Y0, Y1, Y2
-	VADDPD    Y0, Y1, Y3
-	VCMPPD    $0x11, Y14, Y2, Y4
-	VBLENDVPD Y4, Y14, Y2, Y2
-	VCMPPD    $0x1E, Y15, Y3, Y4
-	VBLENDVPD Y4, Y15, Y3, Y3
-	VCMPPD    $0x11, (R12)(DX*8), Y2, Y2
-	VCMPPD    $0x1E, (R13)(DX*8), Y3, Y3
-	VORPD     Y3, Y2, Y2
-	VPSUBQ    Y2, Y6, Y6
-	VMOVMSKPD Y2, AX
-	IMULL     $0x204081, AX
-	ANDL      $0x01010101, AX
-	IMULL     R14, AX
-	ORL       AX, (DI)(DX*1)
-	ADDQ      $4, DX
-	DECQ      CX
-	JNZ       sweepLoop
+	VMOVUPD (R11)(DX*8), Y0
+	VSUBPD  Y0, Y13, Y0
+	SWEEPTEST
+	ADDQ    $4, DX
+	DECQ    CX
+	JNZ     sweepLoop
+	JMP     sweepSum
+
+sweepCellLoop:
+	VMOVDQU    (SI)(DX*4), X5
+	VPCMPEQD   Y7, Y7, Y7
+	VGATHERDPD Y7, (BX)(X5*8), Y0
+	VADDPD     Y0, Y13, Y0
+	VSUBPD     (R11)(DX*8), Y0, Y0
+	SWEEPTEST
+	ADDQ       $4, DX
+	DECQ       CX
+	JNZ        sweepCellLoop
 
 sweepSum:
 	VEXTRACTI128 $1, Y6, X7
@@ -349,5 +371,5 @@ sweepSum:
 	VPADDQ       X7, X6, X6
 	VMOVQ        X6, AX
 	VZEROUPPER
-	MOVQ         AX, ret+208(FP)
+	MOVQ         AX, ret+256(FP)
 	RET

@@ -12,6 +12,6 @@ func plumeSumsAVX2(v, x, y, slack []float64, plumes []Plume) int {
 }
 
 func sweepAVX2(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
-	noise, bias, snapP, snapC, lo, hi []float64) int64 {
+	noise, bias, snapP, snapC, lo, hi []float64, cell []int32, cellCum []float64) int64 {
 	panic("sim: no sweep kernel on this architecture")
 }

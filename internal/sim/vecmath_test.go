@@ -143,9 +143,12 @@ func TestPlumeSumsMatchesScalar(t *testing.T) {
 
 // sweepRef is SweepWindows' per-pair contract in scalar Go.
 func sweepRef(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
-	noise, bias, snapP, snapC, lo, hi []float64) (hits int64) {
+	noise, bias, snapP, snapC, lo, hi []float64, cell []int32, cellCum []float64) (hits int64) {
 	for i := range mask {
 		dev := cum - snapC[i]
+		if cell != nil {
+			dev = cum + cellCum[cell[i]] - snapC[i]
+		}
 		c := base + noise[i] + bias[i] + snapP[i]
 		vlo, vhi := c-dev, c+dev
 		if vlo < spanLo {
@@ -163,10 +166,9 @@ func sweepRef(mask []uint8, bit uint8, base, cum, spanLo, spanHi float64,
 }
 
 // TestSweepWindowsMatchesScalar holds SweepWindows (plus a scalar tail) to
-// sweepRef, with the kernels as the host enables them and forced off: mask
-// bytes that already carry other bits, windows straddling the bracket,
-// sentinel windows (±Inf either way round), NaN and infinite operands, and
-// brackets at the span's signed-zero edge.
+// sweepRef on random columns with NaN, infinite and signed-zero entries,
+// sentinel windows and every mask bit, without and with a cell column
+// whose indices reach both ends of cellCum.
 func TestSweepWindowsMatchesScalar(t *testing.T) {
 	r := NewRNG(5)
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
@@ -193,22 +195,41 @@ func TestSweepWindowsMatchesScalar(t *testing.T) {
 						lo[i], hi[i] = math.Inf(-1), math.Inf(1)
 					}
 				}
+				var cell []int32
+				var cellCum []float64
+				if bit >= 4 {
+					cellCum = make([]float64, 1+r.Intn(40))
+					for c := range cellCum {
+						cellCum[c] = r.Range(0, 0.5)
+					}
+					cell = make([]int32, n)
+					for i := range cell {
+						cell[i] = int32(r.Intn(len(cellCum)))
+						if i%7 == 0 {
+							cell[i] = int32(len(cellCum) - 1)
+						}
+					}
+				}
 				mask := make([]uint8, n)
 				for i := range mask {
 					mask[i] = uint8(r.Intn(16)) &^ bit
 				}
 				want := append([]uint8(nil), mask...)
 				base, cum, spanLo, spanHi := r.Range(-1, 1), r.Range(0, 1), 0.0, 2.0
-				if bit == 2 {
+				if bit == 2 || bit == 8 {
 					spanLo, spanHi = -2, 0
 				}
-				wantHits := sweepRef(want, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, lo, hi)
-				done, hits := SweepWindows(mask, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, lo, hi)
+				wantHits := sweepRef(want, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, lo, hi, cell, cellCum)
+				done, hits := SweepWindows(mask, bit, base, cum, spanLo, spanHi, noise, bias, snapP, snapC, lo, hi, cell, cellCum)
 				if useSweepKernel && done != n&^3 || !useSweepKernel && done != 0 {
 					t.Fatalf("n %d: swept %d pairs", n, done)
 				}
+				var tail []int32
+				if cell != nil {
+					tail = cell[done:]
+				}
 				hits += sweepRef(mask[done:], bit, base, cum, spanLo, spanHi,
-					noise[done:], bias[done:], snapP[done:], snapC[done:], lo[done:], hi[done:])
+					noise[done:], bias[done:], snapP[done:], snapC[done:], lo[done:], hi[done:], tail, cellCum)
 				if hits != wantHits {
 					t.Fatalf("n %d bit %d: %d hits, want %d", n, bit, hits, wantHits)
 				}

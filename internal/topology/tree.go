@@ -16,7 +16,8 @@ import (
 // maps' worth of per-entry churn.
 type Tree struct {
 	root  NodeID
-	count int // nodes currently attached (root included)
+	count int    // nodes currently attached (root included)
+	gen   uint64 // bumped by every Attach and Detach
 
 	inTree    []bool     // membership, grown on demand
 	parentArr []NodeID   // parent; -1 = root or detached
@@ -48,6 +49,11 @@ func (t *Tree) Root() NodeID { return t.root }
 
 // Len returns the number of nodes currently in the tree (root included).
 func (t *Tree) Len() int { return t.count }
+
+// Generation counts the tree's structural changes: every Attach and
+// Detach bumps it, so a caller that cached something derived from the
+// tree's shape can tell whether it still holds.
+func (t *Tree) Generation() uint64 { return t.gen }
 
 // Contains reports whether id is attached to the tree.
 func (t *Tree) Contains(id NodeID) bool {
@@ -106,6 +112,7 @@ func (t *Tree) Attach(parent, child NodeID) error {
 	t.parentArr[child] = parent
 	t.depthArr[child] = t.depthArr[parent] + 1
 	t.count++
+	t.gen++
 	return nil
 }
 
@@ -129,6 +136,7 @@ func (t *Tree) Detach(id NodeID) ([]NodeID, error) {
 		t.childArr[n] = t.childArr[n][:0]
 	}
 	t.count -= len(removed)
+	t.gen++
 	return removed, nil
 }
 
